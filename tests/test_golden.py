@@ -1,0 +1,42 @@
+"""Golden reports: derive-dwh, bracket and verify output, byte for byte.
+
+The fixture holds the three README examples, dense-frame derive-dwh and
+bracket cases at n = 3, 4 and p = 0..2, and verify --n 1..3 --seed 42,
+each with its exit code and full stdout.  Refactors must leave every
+report unchanged.  After a deliberate change of report content, rewrite
+the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from dkpfields.cli import main
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
+CASES = json.loads(FIXTURE.read_text())
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
+)
+def test_report_is_byte_identical(case):
+    assert run_cli(case["argv"]) == (case["exit"], case["stdout"])
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        case["exit"], case["stdout"] = run_cli(case["argv"])
+    FIXTURE.write_text(json.dumps(CASES, indent=1))
