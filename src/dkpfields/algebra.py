@@ -368,27 +368,33 @@ def _embed_signs(j, n):
             yield sign, sub, merged
 
 
+def _components(v, n=None):
+    """Coerced component tuple; its length must equal n when n is given."""
+    v = tuple(_coerce(c) for c in v)
+    if n is not None and len(v) != n:
+        raise DimensionMismatchError("component count must equal n")
+    return v
+
+
+def _embed(v, n, covector):
+    """Shared body of the embeddings; each key determines its j, so no sums."""
+    v = _components(v, n)
+    n = len(v)
+    terms = {}
+    for j, c in enumerate(v, start=1):
+        if c:
+            for sign, sub, merged in _embed_signs(j, n):
+                be = BasisElement(merged, sub) if covector else BasisElement(sub, merged)
+                terms[be] = sign * c
+    return AlgebraElement._raw(n, terms)
+
+
 def embed_vector(v, n=None):
     """Image of the vector v^j e_j in the projector basis.
 
     Expands e_j = sum over subsets J (j not in J) of +/- E(J, J + {j}).
     """
-    v = tuple(_coerce(c) for c in v)
-    n = len(v) if n is None else n
-    if len(v) != n:
-        raise DimensionMismatchError("component count must equal n")
-    terms = {}
-    for j, c in enumerate(v, start=1):
-        if not c:
-            continue
-        for sign, sub, merged in _embed_signs(j, n):
-            be = BasisElement(sub, merged)
-            s = terms.get(be, Fraction(0)) + sign * c
-            if s:
-                terms[be] = s
-            else:
-                terms.pop(be, None)
-    return AlgebraElement._raw(n, terms)
+    return _embed(v, n, covector=False)
 
 
 def embed_covector(a, n=None):
@@ -396,22 +402,7 @@ def embed_covector(a, n=None):
 
     Expands e^j = sum over subsets J (j not in J) of +/- E(J + {j}, J).
     """
-    a = tuple(_coerce(c) for c in a)
-    n = len(a) if n is None else n
-    if len(a) != n:
-        raise DimensionMismatchError("component count must equal n")
-    terms = {}
-    for j, c in enumerate(a, start=1):
-        if not c:
-            continue
-        for sign, sub, merged in _embed_signs(j, n):
-            be = BasisElement(merged, sub)
-            s = terms.get(be, Fraction(0)) + sign * c
-            if s:
-                terms[be] = s
-            else:
-                terms.pop(be, None)
-    return AlgebraElement._raw(n, terms)
+    return _embed(a, n, covector=True)
 
 
 class Metric:

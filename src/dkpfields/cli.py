@@ -262,9 +262,25 @@ def _build_parser():
     return parser
 
 
+_VALUE_OPTIONS = ("--H", "--G", "--F", "--metric", "--lambda")
+
+
+def _glue_values(argv):
+    """Rewrite '--H -y[]^2' as '--H=-y[]^2'.
+
+    argparse takes a separate value that starts with '-' for an option, but
+    always reads the '--opt=value' form as a value.
+    """
+    out, words = [], iter(argv)
+    for word in words:
+        value = next(words, None) if word in _VALUE_OPTIONS else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     if args.n < 1:
         parser.exit(2, "error: --n must be >= 1\n")
     p_rank = getattr(args, "p", 0)

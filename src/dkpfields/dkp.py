@@ -35,10 +35,11 @@ from fractions import Fraction
 
 from ._linalg import as_matrix, identity, invert, mat_mul, transpose
 from .algebra import (
+    AlgebraElement,
+    BasisElement,
     IndexRangeError,
     Metric,
-    embed_covector,
-    embed_vector,
+    _components,
     projector_p,
     projector_pi,
     zero,
@@ -78,13 +79,15 @@ def _basis_tuple(i, n):
 
 
 def _p_right(v, n):
-    """(P_v) = (P) (v)."""
-    return projector_p(n) * embed_vector(v, n)
+    """(P_v) = (P) (v) = sum_j v_j E([], [j]): (P) kills the J != [] embedding terms."""
+    return AlgebraElement(n, {BasisElement((), (j,)): c
+                              for j, c in enumerate(_components(v, n), start=1)})
 
 
 def _p_left(a, n):
-    """(^a P) = (a) (P)."""
-    return embed_covector(a, n) * projector_p(n)
+    """(^a P) = (a) (P) = sum_j a_j E([j], [])."""
+    return AlgebraElement(n, {BasisElement((j,), ()): c
+                              for j, c in enumerate(_components(a, n), start=1)})
 
 
 def make_generator(family, arg, g: Metric):

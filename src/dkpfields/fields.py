@@ -14,6 +14,12 @@ Polymomenta and frame momenta are related through an invertible frame map
 L by p[mu][I] = L^mu_c pi[c][I].  The Latin metric is Euclidean
 throughout, so raised and lowered field indices coincide.
 
+The DWH equations are read off nabla H.  Their left-hand sides are fixed
+by construction: in y/p symbols the derivative side of each equation is
+contracted with L L^-1, so it is sum_mu d[mu]p[mu][I] or d[nu]y[I] when
+L L^-1 = 1.  dwh_derive checks that identity once per call with an
+explicit raise (python -O keeps it) and writes those forms directly.
+
 All multi-index sums below run over strictly increasing tuples only; the
 1/p! weights that would accompany sums over all index orderings are
 absorbed by that convention (in nabla, nabla_adjoint, bracket and the
@@ -42,7 +48,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, BasisElement, canonicalize, contract
+from ._linalg import identity, mat_mul
+from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract
 from .dkp import FrameMap, beta_mu
 
 __all__ = [
@@ -146,14 +153,6 @@ def symbol_poly(kind, idx, seq, n):
         return FieldPoly.zero()
     sym = FieldSymbol(kind, tuple(idx), ix)
     return FieldPoly({((sym, 1),): Fraction(sign)})
-
-
-def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return c
 
 
 class FieldPoly:
@@ -388,55 +387,24 @@ def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
     return AlgebraElement(n, terms)
 
 
-# -- frame-map substitutions ---------------------------------------------
+# -- frame-map substitution ----------------------------------------------
 
 
-def _subst_p_to_pi(f: FieldPoly, lam: FrameMap) -> FieldPoly:
-    """Rewrite polymomenta in frame momenta: p[mu][I] -> L^mu_c pi[c][I]."""
-    mapping = {}
-    n = lam.n
-    for s in f.symbols():
-        if s.kind == "p":
-            mu = s.idx[0]
-            repl = FieldPoly.zero()
-            for c in range(1, n + 1):
-                w = lam.lam[mu - 1][c - 1]
-                if w:
-                    repl = repl + w * FieldPoly.of(pi_sym(c, s.index))
-            mapping[s] = repl
+def _frame_subst(f: FieldPoly, kind, m, new_kind) -> FieldPoly:
+    """kind[a][I] -> sum_b m[a][b] new_kind[b][I]; m = L for p -> pi, L^-1 for pi -> p."""
+    mapping = {
+        sym: FieldPoly({((FieldSymbol(new_kind, (b,), sym.index), 1),): w
+                        for b, w in enumerate(m[sym.idx[0] - 1], start=1)})
+        for sym in f.symbols()
+        if sym.kind == kind
+    }
     return f.substitute(mapping) if mapping else f
 
 
-def _subst_pi_to_p(f: FieldPoly, lam: FrameMap) -> FieldPoly:
-    """Rewrite frame momenta back in polymomenta: pi[c][I] -> (L^-1)^c_nu p[nu][I]."""
-    mapping = {}
-    n = lam.n
-    for s in f.symbols():
-        if s.kind == "pi":
-            c = s.idx[0]
-            repl = FieldPoly.zero()
-            for nu in range(1, n + 1):
-                w = lam.lam_inv[c - 1][nu - 1]
-                if w:
-                    repl = repl + w * FieldPoly.of(p_sym(nu, s.index))
-            mapping[s] = repl
-    return f.substitute(mapping) if mapping else f
-
-
-def _subst_dpi_to_dp(f: FieldPoly, lam: FrameMap) -> FieldPoly:
-    """Rewrite derivative symbols: d[mu]pi[c][I] -> (L^-1)^c_nu d[mu]p[nu][I]."""
-    mapping = {}
-    n = lam.n
-    for s in f.symbols():
-        if s.kind == "Dpi":
-            mu, c = s.idx
-            repl = FieldPoly.zero()
-            for nu in range(1, n + 1):
-                w = lam.lam_inv[c - 1][nu - 1]
-                if w:
-                    repl = repl + w * FieldPoly.of(dp_sym(mu, nu, s.index))
-            mapping[s] = repl
-    return f.substitute(mapping) if mapping else f
+def _coefficient(el: AlgebraElement, be) -> FieldPoly:
+    """Polynomial coefficient of one basis key (absent keys give 0)."""
+    c = el.coefficient(be)
+    return FieldPoly.const(c) if isinstance(c, Fraction) else c
 
 
 # -- covariant Hamiltonian field equations --------------------------------
@@ -500,59 +468,35 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     where Psi_(p) carries formal derivative symbols, and then normalizes
     the resulting equations to y/p symbols so the output does not depend on
     the frame map.
+
+    The right-hand sides come from the E([], I) and E([c], I) coefficients
+    of nabla H.  The left-hand sides are written down, not computed: their
+    derivative side is sum_{mu,nu} (L L^-1)^mu_nu d[mu]p[nu][I], and
+    sum_mu (L L^-1)^mu_nu d[mu]y[I] after recombining the E([c], I) keys
+    with L^-1.  Raises ArithmeticError when L L^-1 != 1.
     """
     _validate(h, p, n, ("y", "p", "pi"))
     if lam.n != n:
         raise RankError("frame map dimension must match n")
-    ht = _subst_p_to_pi(h, lam)
-
-    # left side: beta^mu acting on the derivative expansion of Psi_(p);
-    # coefficient matching against nabla(ht) per basis key
-    rhs_el = nabla(ht, p, n)
+    if mat_mul(lam.lam, lam.lam_inv) != identity(n):
+        raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
+    rhs_el = nabla(_frame_subst(h, "p", lam.lam, "pi"), p, n)
 
     momentum = []
     field = []
     for I in _multi_indices(n, p):
-        lhs_raw = FieldPoly.zero()
-        for mu in range(1, n + 1):
-            for c in range(1, n + 1):
-                w = lam.lam[mu - 1][c - 1]
-                if w:
-                    lhs_raw = lhs_raw - w * FieldPoly.of(dpi_sym(mu, c, I))
-        rhs_raw = rhs_el.coefficient(BasisElement((), I))
-        if isinstance(rhs_raw, Fraction):
-            rhs_raw = FieldPoly.const(rhs_raw)
-        # normalized: sum_mu d[mu]p[mu][I] = -dH/dy[I]
-        lhs = -_subst_dpi_to_dp(lhs_raw, lam)
-        rhs = -_subst_pi_to_p(rhs_raw, lam)
-        expected = FieldPoly.zero()
-        for mu in range(1, n + 1):
-            expected = expected + FieldPoly.of(dp_sym(mu, mu, I))
-        assert lhs == expected  # frame map cancels in the divergence
+        lhs = FieldPoly({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
+        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", lam.lam_inv, "p")
         momentum.append((I, lhs, rhs))
-
-        raw_by_c = []
-        for c in range(1, n + 1):
-            lhs_c = FieldPoly.zero()
-            for mu in range(1, n + 1):
-                w = lam.lam[mu - 1][c - 1]
-                if w:
-                    lhs_c = lhs_c + w * FieldPoly.of(dy_sym(mu, I))
-            rhs_c = rhs_el.coefficient(BasisElement((c,), I))
-            if isinstance(rhs_c, Fraction):
-                rhs_c = FieldPoly.const(rhs_c)
-            raw_by_c.append((lhs_c, rhs_c))
-        # invert the frame map across the family: one equation per mu
+        by_c = [_coefficient(rhs_el, BasisElement((c,), I)) for c in range(1, n + 1)]
         for nu in range(1, n + 1):
-            lhs_nu = FieldPoly.zero()
             rhs_nu = FieldPoly.zero()
             for c in range(1, n + 1):
                 w = lam.lam_inv[c - 1][nu - 1]
                 if w:
-                    lhs_nu = lhs_nu + w * raw_by_c[c - 1][0]
-                    rhs_nu = rhs_nu + w * raw_by_c[c - 1][1]
-            assert lhs_nu == FieldPoly.of(dy_sym(nu, I))
-            field.append(((nu, I), lhs_nu, _subst_pi_to_p(rhs_nu, lam)))
+                    rhs_nu = rhs_nu + w * by_c[c - 1]
+            rhs_nu = _frame_subst(rhs_nu, "pi", lam.lam_inv, "p")
+            field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs_nu))
     return DwhEquations(n, p, momentum, field)
 
 
@@ -569,16 +513,11 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    gt = _subst_p_to_pi(g, lam)
-    ft = _subst_p_to_pi(f, lam)
-    left = nabla_adjoint(gt, p, n)
-    right = nabla(ft, p, n)
+    left = nabla_adjoint(_frame_subst(g, "p", lam.lam, "pi"), p, n)
+    right = nabla(_frame_subst(f, "p", lam.lam, "pi"), p, n)
     beta = beta_mu(lam, mu, "lower_neg", n)
-    prod = left * beta * right
-    c = contract(prod, p).coefficient(BasisElement((), ()))
-    if isinstance(c, Fraction):
-        c = FieldPoly.const(c)
-    return _subst_pi_to_p(c, lam)
+    c = _coefficient(contract(left * beta * right, p), BasisElement((), ()))
+    return _frame_subst(c, "pi", lam.lam_inv, "p")
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
@@ -595,7 +534,7 @@ def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
 
 def _route(route):
     if route == "word":
-        return lambda g, f, mu, p, lam, n: bracket(g, f, mu, p, lam, n)
+        return bracket
     if route == "closed":
         return lambda g, f, mu, p, lam, n: bracket_closed_form(g, f, mu, p, n)
     raise ValueError(f"unknown bracket route {route!r}")

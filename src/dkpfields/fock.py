@@ -17,6 +17,7 @@ below i).  Dense matrices are fine here: n is capped at 4 (16 x 16).
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import AlgebraElement, IndexRangeError
 
@@ -130,9 +131,7 @@ def represent_generator(kind, index, n):
     return DenseOperator(n, rows)
 
 
-_basis_cache = {}
-
-
+@cache
 def _vacuum_matrix(n):
     """Image of the vacuum word a_1 .. a_n a+_n .. a+_1, by multiplication."""
     m = DenseOperator.identity(n)
@@ -143,31 +142,17 @@ def _vacuum_matrix(n):
     return m
 
 
-def _represent_basis(be, n):
-    key = (n, be)
-    cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
-    m = _vacuum_matrix(n) if ("vac", n) not in _basis_cache else _basis_cache[("vac", n)]
-    _basis_cache[("vac", n)] = m
+@cache
+def _basis_nonzeros(be, n):
+    """(row, col, value) entries of one basis element's generator-product matrix."""
+    m = _vacuum_matrix(n)
     for j in reversed(be.upper):
         m = represent_generator("covector", j, n) @ m
     for k in reversed(be.lower):
         m = m @ represent_generator("vector", k, n)
-    _basis_cache[key] = m
-    return m
-
-
-def _basis_nonzeros(be, n):
-    key = ("nz", n, be)
-    cached = _basis_cache.get(key)
-    if cached is None:
-        m = _represent_basis(be, n)
-        cached = tuple(
-            (i, j, x) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x
-        )
-        _basis_cache[key] = cached
-    return cached
+    return tuple(
+        (i, j, x) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x
+    )
 
 
 def represent(x: AlgebraElement) -> DenseOperator:

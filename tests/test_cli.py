@@ -110,6 +110,28 @@ def test_bracket_command_nontrivial():
     assert doc["results"][0]["detail"] == "2 * y[]"
 
 
+def test_values_starting_with_minus():
+    """A separate value may start with '-' and reads as in '--opt=value'."""
+    cases = [
+        ["derive-dwh", "--n", "1", "--H", "-y[]^2"],
+        ["derive-dwh", "--n", "2", "--p", "1", "--H", "-y[1]*p[2][1]",
+         "--lambda", "-1,1;0,2"],
+        ["bracket", "--n", "1", "--G", "-y[]", "--F", "-p[1][]", "--lambda", "-2"],
+        ["verify", "--n", "2", "--suite", "dkp", "--metric", "-1,0;0,1",
+         "--lambda", "-1,0;1,1"],
+    ]
+    for argv in cases:
+        code, out = run_cli(argv)
+        assert code == 0, (argv, out)
+        assert "RESULT: PASS" in out
+        words = iter(argv)
+        glued = [f"{w}={next(words)}" if w in ("--H", "--G", "--F", "--metric", "--lambda")
+                 else w for w in words]
+        assert run_cli(glued) == (code, out)
+    assert "1 * d[1]p[1][] = 2 * y[]" in run_cli(cases[0])[1]
+    assert "PASS bracket (1)" in run_cli(cases[2])[1]
+
+
 def test_oracle_check():
     code, out = run_cli(["oracle-check", "--n", "2", "--seed", "5", "--pairs", "20"])
     assert code == 0

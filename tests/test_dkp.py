@@ -18,7 +18,7 @@ from dkpfields.dkp import (
     ndkc_induced_residual,
     ndkc_residual,
 )
-from dkpfields.suites import rand_frame, rand_metric, rand_orthogonal_frame
+from dkpfields.suites import rand_frame, rand_metric, rand_orthogonal_frame, rand_vector
 
 
 def basis_vec(i, n):
@@ -41,6 +41,36 @@ def test_generator_goldens_euclidean_n2():
     assert got == al.single(2, (1,), ()) + al.single(2, (), (1,))
     got = make_generator("beta_lower_neg", 2, g)
     assert got == al.single(2, (), (2,)) - al.single(2, (2,), ())
+
+
+def test_generators_match_product_definitions():
+    """make_generator equals the module docstring's embedding products.
+
+    (P_v) = (P) (v) and (^a P) = (a) (P), built here from the full
+    embeddings, over random rational metrics.
+    """
+    rng = random.Random(29)
+    for n in range(1, 6):
+        P = al.projector_p(n)
+
+        def right(v):
+            return P * al.embed_vector(v, n)
+
+        def left(a):
+            return al.embed_covector(a, n) * P
+
+        for _ in range(3):
+            g = rand_metric(n, rng)
+            a, v = rand_vector(n, rng), rand_vector(n, rng)
+            i = rng.randint(1, n)
+            e = basis_vec(i, n)
+            assert make_generator("b_upper", a, g) == left(a) + right(g.sharp(a))
+            assert make_generator("b_upper_neg", a, g) == left(a) - right(g.sharp(a))
+            assert make_generator("b_lower_neg", v, g) == right(v) - left(g.flat(v))
+            assert make_generator("beta_lower", i, g) == right(e) + left(g.flat(e))
+            assert make_generator("beta_lower_neg", i, g) == right(e) - left(g.flat(e))
+    with pytest.raises(al.DimensionMismatchError):
+        make_generator("b_upper", (1, 0, 0), Metric.euclidean(2))
 
 
 def test_beta_cubes_euclidean():

@@ -1,11 +1,16 @@
 """Field calculus: polynomials, derivative operators, field equations, bracket."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dkpfields
 from dkpfields.algebra import BasisElement
 from dkpfields.dkp import FrameMap
 from dkpfields.fields import (
@@ -247,6 +252,37 @@ def test_dwh_validation():
         dwh_derive(Y(1), 0, FrameMap.identity(2), 2)
     with pytest.raises(RankError):
         dwh_derive(Y() * FieldPoly.of(dy_sym(1, ())), 0, FrameMap.identity(2), 2)
+
+
+_CORRUPT_INVERSE = """
+if __debug__:
+    raise SystemExit("not running under -O")
+from dkpfields.dkp import FrameMap
+from dkpfields.fields import dwh_derive
+from dkpfields.parser import parse_expr
+
+lam = FrameMap([[2, 1], [1, 1]])
+lam.lam_inv = FrameMap([[1, 1], [0, 1]]).lam_inv
+try:
+    eqs = dwh_derive(parse_expr("y[]*p[1][] + p[2][]^2", 2, 0), 0, lam, 2)
+except ArithmeticError:
+    raise SystemExit(0)
+raise SystemExit("no error; derived: " + repr(eqs))
+"""
+
+
+def test_dwh_inconsistent_frame_inverse_raises_under_O():
+    """The L L^-1 = 1 check is an explicit raise, which python -O keeps."""
+    src = str(pathlib.Path(dkpfields.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_INVERSE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 # -- bracket ----------------------------------------------------------------------
