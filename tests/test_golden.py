@@ -1,8 +1,9 @@
 """Golden reports: derive-dwh, bracket and verify output, byte for byte.
 
 The fixture holds the three README examples, dense-frame derive-dwh and
-bracket cases at n = 3, 4 and p = 0..2, and verify --n 1..3 --seed 42,
-each with its exit code and full stdout.  Refactors must leave every
+bracket cases at n = 3, 4 and p = 0..2, verify --n 1..4 --seed 42, and the
+core suite at n = 3 over a dense indefinite metric (the one report whose
+adjoint is not the Euclidean one), each with its exit code and full stdout.  Refactors must leave every
 report unchanged.  After a deliberate change of report content, rewrite
 the fixture with
 
