@@ -1,6 +1,7 @@
 """Exact rational matrix helpers (small n only)."""
 
 from fractions import Fraction
+from itertools import combinations
 
 
 class SingularMatrixError(ValueError):
@@ -45,6 +46,46 @@ def invert(m):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def det(m):
+    """Determinant by fraction-free Bareiss elimination.
+
+    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22 (1968): each step divides exactly by the
+    previous pivot, so integer entries stay integers throughout.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+        prev = pivot
+    return Fraction(sign * a[-1][-1]) if n else Fraction(1)
+
+
+def compound(m, p):
+    """Nonzero p x p minors of m, grouped by row set.
+
+    Returns {rows: ((cols, det m[rows, cols]), ...)} over all strictly
+    increasing 1-based index tuples of length p, keeping only nonzero minors.
+    """
+    sets = list(combinations(range(1, len(m) + 1), p))
+    out = {}
+    for rows in sets:
+        picked = [m[r - 1] for r in rows]
+        dets = ((cols, det([[row[c - 1] for c in cols] for row in picked])) for cols in sets)
+        out[rows] = tuple((cols, d) for cols, d in dets if d)
+    return out
 
 
 def mat_mul(a, b):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import SingularMatrixError, as_matrix, identity, invert, is_symmetric
+from ._linalg import SingularMatrixError, as_matrix, compound, identity, invert, is_symmetric
 
 __all__ = [
     "AlgebraElement",
@@ -408,7 +408,7 @@ def embed_covector(a, n=None):
 class Metric:
     """Symmetric invertible matrix with exact inverse; raises if singular."""
 
-    __slots__ = ("n", "g", "g_inv")
+    __slots__ = ("n", "g", "g_inv", "_minors")
 
     def __init__(self, rows):
         self.g = as_matrix(rows)
@@ -416,6 +416,7 @@ class Metric:
         if not is_symmetric(self.g):
             raise ValueError("metric must be symmetric")
         self.g_inv = invert(self.g)
+        self._minors = {}
 
     @classmethod
     def euclidean(cls, n):
@@ -423,25 +424,34 @@ class Metric:
 
     def flat(self, v):
         """Lower an index: vector components -> covector components."""
-        v = tuple(_coerce(c) for c in v)
+        v = _components(v, self.n)
         return tuple(sum(self.g[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
 
     def sharp(self, a):
         """Raise an index: covector components -> vector components."""
-        a = tuple(_coerce(c) for c in a)
+        a = _components(a, self.n)
         return tuple(sum(self.g_inv[i][j] * a[j] for j in range(self.n)) for i in range(self.n))
 
     def pair(self, v, w):
         """g(v, w) on vector components."""
-        v, w = tuple(v), tuple(w)
-        return sum(self.g[i][j] * _coerce(v[i]) * _coerce(w[j])
-                   for i in range(self.n) for j in range(self.n))
+        v, w = _components(v, self.n), _components(w, self.n)
+        return sum(self.g[i][j] * v[i] * w[j] for i in range(self.n) for j in range(self.n))
 
     def pair_inv(self, a, b):
         """g^{-1}(a, b) on covector components."""
-        a, b = tuple(a), tuple(b)
-        return sum(self.g_inv[i][j] * _coerce(a[i]) * _coerce(b[j])
-                   for i in range(self.n) for j in range(self.n))
+        a, b = _components(a, self.n), _components(b, self.n)
+        return sum(self.g_inv[i][j] * a[i] * b[j] for i in range(self.n) for j in range(self.n))
+
+    def _minors_of(self, p):
+        """Nonzero p x p minors of g and of g^{-1}, each as {rows: ((cols, det), ...)}.
+
+        Built on the first request for grade p and kept with the metric, so a
+        metric that never meets an adjoint never pays for them.
+        """
+        got = self._minors.get(p)
+        if got is None:
+            got = self._minors[p] = (compound(self.g, p), compound(self.g_inv, p))
+        return got
 
     def __eq__(self, other):
         return isinstance(other, Metric) and self.g == other.g
@@ -455,36 +465,27 @@ def adjoint(x, g):
 
         (e_i)+ = g_ij (e^j),   (e^i)+ = g^ij (e_j),   (P)+ = (P).
 
-    Reverses each basis word and maps every factor through the metric,
-    re-canonicalizing the resulting words.
+    Reversing E(J, K) and mapping each factor through the metric gives, by
+    Cauchy-Binet, the sign-free closed form
+
+        E(J, K)+  =  sum_{A, B} det g[K, A] * det g^{-1}[J, B] * E(A, B),
+
+    with |A| = |K| and |B| = |J|: the minors of g and g^{-1} carry every
+    sign that re-canonicalizing the reversed words would produce.
     """
     if x.n != g.n:
         raise DimensionMismatchError("metric dimension must match element")
-    n = x.n
-    out = zero(n)
+    out = {}
     for (up, lo), c in x._terms.items():
-        # dagger of E(J,K): covector word from K (ascending), vector word
-        # from J (descending), each factor contracted with g / g inverse.
-        partial = [(c, (), ())]
-        for k in lo:
-            nxt = []
-            for coeff, useq, lseq in partial:
-                for a in range(1, n + 1):
-                    w = g.g[k - 1][a - 1]
-                    if w:
-                        nxt.append((coeff * w, useq + (a,), lseq))
-            partial = nxt
-        for j in reversed(up):
-            nxt = []
-            for coeff, useq, lseq in partial:
-                for b in range(1, n + 1):
-                    w = g.g_inv[j - 1][b - 1]
-                    if w:
-                        nxt.append((coeff * w, useq, lseq + (b,)))
-            partial = nxt
-        for coeff, useq, lseq in partial:
-            out = out + basis_word(n, useq, lseq, coeff)
-    return out
+        covector_rows = g._minors_of(len(lo))[0][lo]
+        vector_rows = g._minors_of(len(up))[1][up]
+        for a, ma in covector_rows:
+            cm = c * ma
+            for b, mb in vector_rows:
+                be = BasisElement(a, b)
+                s = out.get(be)
+                out[be] = cm * mb if s is None else s + cm * mb
+    return AlgebraElement._raw(x.n, {be: c for be, c in out.items() if c})
 
 
 def contract(x, p):

@@ -32,6 +32,11 @@ class UsageError(ValueError):
     pass
 
 
+# verify --n 5 --suite all takes about 7 s on one core, and its suites grow
+# with the 4^n basis elements of G_n.
+VERIFY_MAX_N = 5
+
+
 def _parse_matrix(text, n):
     if text == "identity":
         from ._linalg import identity
@@ -88,6 +93,10 @@ def _emit(report, fmt, out):
 
 
 def _cmd_verify(args, out):
+    if args.n > VERIFY_MAX_N:
+        raise UsageError(
+            f"verify runs for n <= {VERIFY_MAX_N} only; its suites grow with the 4^n basis elements"
+        )
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     metric = _metric(args) if args.metric != "identity" else None
     lam = _frame(args) if args.lam != "identity" else None

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields import algebra as al
+from dkpfields._linalg import compound, det
 from dkpfields.algebra import (
     AlgebraElement,
     BasisElement,
@@ -247,7 +250,7 @@ def test_adjoint_euclidean_anchor():
 
 def test_adjoint_involution_and_antihom():
     rng = random.Random(41)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         g = rand_metric(n, rng)
         for _ in range(15):
             x, y = rand_element(n, rng), rand_element(n, rng)
@@ -266,6 +269,81 @@ def test_adjoint_on_generators():
         ci = al.embed_covector(basis_vec(i, n), n)
         want = al.embed_vector(g.sharp(basis_vec(i, n)), n)
         assert al.adjoint(ci, g) == want
+
+
+def adjoint_by_words(x, g):
+    """Reference adjoint: reverse each basis word factor by factor.
+
+    E(J, K)+ is the covector word (e^{k_1})+ .. (e^{k_q})+ followed by the
+    vector word (e^{j_p})+ .. (e^{j_1})+, each factor expanded through g or
+    g^-1 into n raw words and re-canonicalized by basis_word; n^(|J|+|K|)
+    words per term, independent of the minors the library uses.
+    """
+    n = x.n
+    acc = {}
+    for (up, lo), c in x.terms():
+        partial = [(c, (), ())]
+        for k in lo:
+            partial = [
+                (coeff * g.g[k - 1][a - 1], useq + (a,), lseq)
+                for coeff, useq, lseq in partial
+                for a in range(1, n + 1)
+                if g.g[k - 1][a - 1]
+            ]
+        for j in reversed(up):
+            partial = [
+                (coeff * g.g_inv[j - 1][b - 1], useq, lseq + (b,))
+                for coeff, useq, lseq in partial
+                for b in range(1, n + 1)
+                if g.g_inv[j - 1][b - 1]
+            ]
+        for coeff, useq, lseq in partial:
+            for be, v in al.basis_word(n, useq, lseq, coeff).terms():
+                acc[be] = acc.get(be, 0) + v
+    return AlgebraElement(n, acc)
+
+
+def oracle_metrics(n, rng):
+    """Dense, diagonal indefinite, and sparse metrics (the last has zero minors)."""
+    diag = [[Fraction((-1) ** i * (i + 2), 2) if i == j else 0 for j in range(n)]
+            for i in range(n)]
+    exchange = [[min(i, j) + 1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    if n > 1:
+        exchange[0][0] = -2  # breaks the pure exchange pattern; still invertible
+    return [rand_metric(n, rng), Metric(diag), Metric(exchange)]
+
+
+def test_adjoint_matches_word_expansion():
+    rng = random.Random(47)
+    for n in (1, 2, 3, 4):
+        for g in oracle_metrics(n, rng):
+            xs = [rand_element(n, rng) for _ in range(8)]
+            xs += [al.single(n, be.upper, be.lower) for be in al.basis_elements(n)]
+            for x in xs:
+                assert al.adjoint(x, g) == adjoint_by_words(x, g)
+
+
+def test_sparse_oracle_metric_has_zero_minors():
+    # compound keeps nonzero minors only, so a short row set has a zero one
+    for n in (2, 3, 4):
+        g = oracle_metrics(n, random.Random(0))[2]
+        assert any(
+            len(rows) < comb(n, p) for p in range(1, n) for rows in compound(g.g, p).values()
+        )
+
+
+def test_bareiss_det_against_leibniz():
+    rng = random.Random(53)
+    for n in range(5):
+        for _ in range(10):
+            # zeros on and off the diagonal force pivot swaps and singular cases
+            m = [[rng.choice((0, 0, 1, -2, Fraction(3, 2))) for _ in range(n)] for _ in range(n)]
+            leibniz = sum(
+                al.gen_delta(tuple(range(n)), perm)
+                * prod((m[i][perm[i]] for i in range(n)), start=Fraction(1))
+                for perm in permutations(range(n))
+            )
+            assert det(m) == leibniz
 
 
 # -- contraction -----------------------------------------------------------------
@@ -360,3 +438,19 @@ def test_metric_flat_sharp_inverse():
     v = rand_vector(3, rng)
     assert g.sharp(g.flat(v)) == v
     assert g.flat(g.sharp(v)) == v
+
+
+def test_metric_rejects_wrong_component_count():
+    g = Metric.euclidean(2)
+    for bad in ((1, 2, 3), (1,)):
+        for call in (
+            lambda: g.flat(bad),
+            lambda: g.sharp(bad),
+            lambda: g.pair(bad, (1, 2)),
+            lambda: g.pair((1, 2), bad),
+            lambda: g.pair_inv(bad, (1, 2)),
+            lambda: g.pair_inv((1, 2), bad),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+    assert g.pair((1, 2), (3, 4)) == g.pair_inv((1, 2), (3, 4)) == 11

@@ -2,9 +2,14 @@
 
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dkpfields
+from dkpfields import cli
 from dkpfields.cli import main
 
 
@@ -161,3 +166,24 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2", "--p", "5"])
     assert exc.value.code == 2
+
+
+def test_verify_n_ceiling_fails_fast(monkeypatch, capsys):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran above the n ceiling")
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    code, out = run_cli(["verify", "--n", str(cli.VERIFY_MAX_N + 1), "--seed", "42"])
+    assert (code, out) == (2, "")
+    assert f"n <= {cli.VERIFY_MAX_N}" in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point():
+    src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "dkpfields", "dims", "--n", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "dim Z_(1) (6)" in done.stdout
