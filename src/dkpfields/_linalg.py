@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 class SingularMatrixError(ValueError):
@@ -48,29 +49,29 @@ def invert(m):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def det(m):
-    """Determinant by fraction-free Bareiss elimination.
+def _bareiss(a):
+    """Determinant of a square integer matrix, a list of row lists it overwrites.
 
-    Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22 (1968): each step divides exactly by the
-    previous pivot, so integer entries stay integers throughout.
+    Fraction-free elimination: Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22 (1968).  Each
+    step divides exactly by the previous pivot, since every intermediate
+    entry is itself a minor of the input, so all arithmetic stays in ints.
     """
-    a = [list(row) for row in m]
     n = len(a)
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
         prev = pivot
-    return Fraction(sign * a[-1][-1]) if n else Fraction(1)
+    return sign * a[-1][-1] if n else 1
 
 
 def compound(m, p):
@@ -79,12 +80,15 @@ def compound(m, p):
     Returns {rows: ((cols, det m[rows, cols]), ...)} over all strictly
     increasing 1-based index tuples of length p, keeping only nonzero minors.
     """
-    sets = list(combinations(range(1, len(m) + 1), p))
+    m = [[Fraction(x) for x in row] for row in m]
+    scale = lcm(1, *(x.denominator for row in m for x in row))
+    a = [[int(x * scale) for x in row] for row in m]  # minors of a are scale^p times m's
+    sets = list(combinations(range(1, len(a) + 1), p))
     out = {}
     for rows in sets:
-        picked = [m[r - 1] for r in rows]
-        dets = ((cols, det([[row[c - 1] for c in cols] for row in picked])) for cols in sets)
-        out[rows] = tuple((cols, d) for cols, d in dets if d)
+        picked = [a[r - 1] for r in rows]
+        dets = ((cols, _bareiss([[row[c - 1] for c in cols] for row in picked])) for cols in sets)
+        out[rows] = tuple((cols, Fraction(d, scale ** p)) for cols, d in dets if d)
     return out
 
 

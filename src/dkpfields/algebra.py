@@ -21,8 +21,9 @@ storage the product collapses to the matrix-unit rule
     E(J, K) * E(J', K')  =  [K == J'] * E(J, K'),
 
 so multiplication is exact, associative by construction, and sign-free.
-All signs of the theory live in the embeddings of vectors/covectors and in
-basis_word.  Coefficients are Fractions (or any exact ring element that
+All signs of the theory live in the embeddings of vectors/covectors, in
+basis_word, and for the metric adjoint in the minors of the metric.
+Coefficients are Fractions (or any exact ring element that
 supports +, *, unary -, and truthiness testing for zero).
 """
 
@@ -485,7 +486,7 @@ def adjoint(x, g):
                 be = BasisElement(a, b)
                 s = out.get(be)
                 out[be] = cm * mb if s is None else s + cm * mb
-    return AlgebraElement._raw(x.n, {be: c for be, c in out.items() if c})
+    return AlgebraElement._raw(x.n, {be: v for be, v in out.items() if v})
 
 
 def contract(x, p):

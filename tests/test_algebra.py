@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields import algebra as al
-from dkpfields._linalg import compound, det
+from dkpfields._linalg import compound
 from dkpfields.algebra import (
     AlgebraElement,
     BasisElement,
@@ -332,18 +332,30 @@ def test_sparse_oracle_metric_has_zero_minors():
         )
 
 
-def test_bareiss_det_against_leibniz():
+def leibniz_det(m):
+    n = len(m)
+    return sum(
+        al.gen_delta(tuple(range(n)), perm)
+        * prod((m[i][perm[i]] for i in range(n)), start=Fraction(1))
+        for perm in permutations(range(n))
+    )
+
+
+def test_compound_minors_against_leibniz():
     rng = random.Random(53)
-    for n in range(5):
+    for n in range(1, 5):
+        sets = [list(combinations(range(1, n + 1), p)) for p in range(n + 1)]
         for _ in range(10):
-            # zeros on and off the diagonal force pivot swaps and singular cases
+            # zeros on and off the diagonal force pivot swaps and zero minors
             m = [[rng.choice((0, 0, 1, -2, Fraction(3, 2))) for _ in range(n)] for _ in range(n)]
-            leibniz = sum(
-                al.gen_delta(tuple(range(n)), perm)
-                * prod((m[i][perm[i]] for i in range(n)), start=Fraction(1))
-                for perm in permutations(range(n))
-            )
-            assert det(m) == leibniz
+            for p in range(n + 1):
+                got = compound(m, p)
+                for rows in sets[p]:
+                    nonzero = dict(got[rows])
+                    assert all(type(d) is Fraction and d for d in nonzero.values())
+                    for cols in sets[p]:
+                        sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
+                        assert nonzero.get(cols, 0) == leibniz_det(sub)
 
 
 # -- contraction -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -183,7 +184,7 @@ def test_python_dash_m_entry_point():
     done = subprocess.run(
         [sys.executable, "-m", "dkpfields", "dims", "--n", "2"],
         capture_output=True, text=True, timeout=60,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
     assert "dim Z_(1) (6)" in done.stdout
