@@ -32,7 +32,7 @@ class UsageError(ValueError):
     pass
 
 
-# verify --n 5 --suite all takes about 7 s on one core, and its suites grow
+# verify --n 5 --suite all takes about 6 s on one core, and its suites grow
 # with the 4^n basis elements of G_n.
 VERIFY_MAX_N = 5
 
