@@ -1,10 +1,11 @@
 """Golden reports: derive-dwh, bracket and verify output, byte for byte.
 
 The fixture holds the three README examples, dense-frame derive-dwh and
-bracket cases at n = 3, 4 and p = 0..2, verify --n 1..4 --seed 42, and the
+bracket cases at n = 3, 4 and p = 0..2, verify --n 1..4 --seed 42, the
 core suite at n = 3 over a dense indefinite metric (the one report whose
-adjoint is not the Euclidean one), each with its exit code and full stdout.  Refactors must leave every
-report unchanged.  After a deliberate change of report content, rewrite
+adjoint is not the Euclidean one), verify --n 1, 2 --seed 0, and all suites
+at n = 3 with seed 0 over that metric and a dense frame, each with its exit
+code and full stdout.  Refactors must leave every report unchanged.  After a deliberate change of report content, rewrite
 the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
