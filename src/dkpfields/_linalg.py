@@ -1,4 +1,9 @@
-"""Exact rational matrix helpers (small n only)."""
+"""Exact rational matrix helpers (small n only).
+
+One elimination serves both the inverse and the minors: a matrix is scaled
+to integers once, and fraction-free Gauss-Jordan after Bareiss gives the
+determinant of a block and, over [s * m | I], the adjugate of s * m.
+"""
 
 from fractions import Fraction
 from itertools import combinations
@@ -28,50 +33,56 @@ def identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def invert(m):
-    """Gauss-Jordan inverse over Fractions.
-
-    Raises SingularMatrixError if the matrix is not invertible.
-    """
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _integer_rows(m):
+    """(s * m as integer row lists, s) with s the lcm of the denominators of m."""
+    m = [[Fraction(x) for x in row] for row in m]
+    scale = lcm(1, *(x.denominator for row in m for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
 
 
 def _bareiss(a):
-    """Determinant of a square integer matrix, a list of row lists it overwrites.
+    """Fraction-free Gauss-Jordan on n integer rows of width >= n, in place.
 
-    Fraction-free elimination: Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22 (1968).  Each
-    step divides exactly by the previous pivot, since every intermediate
-    entry is itself a minor of the input, so all arithmetic stays in ints.
+    Returns the determinant of the leading n x n block B.  When it is
+    nonzero, B ends as d * I, with d = +-det B the last pivot, and every
+    further column c ends as d * B^-1 c.  Each step divides exactly by the
+    previous pivot, since every intermediate entry, above or below the
+    pivot, is itself a minor of the input (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22
+    (1968)), so all arithmetic stays in ints.
     """
     n = len(a)
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        row = a[k]
+        pivot = row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], row)]
         prev = pivot
-    return sign * a[-1][-1] if n else 1
+    return sign * prev
+
+
+def invert(m):
+    """Exact inverse as Fractions, from one Bareiss pass over [s * m | I].
+
+    Raises SingularMatrixError if the matrix is not invertible.
+    """
+    a, scale = _integer_rows(m)
+    n = len(a)
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(n))
+    if not _bareiss(a):
+        raise SingularMatrixError("matrix is singular")
+    # (s m)^-1 = right block / d, and m^-1 = s (s m)^-1
+    return tuple(tuple(Fraction(scale * x, row[i]) for x in row[n:]) for i, row in enumerate(a))
 
 
 def compound(m, p):
@@ -80,9 +91,7 @@ def compound(m, p):
     Returns {rows: ((cols, det m[rows, cols]), ...)} over all strictly
     increasing 1-based index tuples of length p, keeping only nonzero minors.
     """
-    m = [[Fraction(x) for x in row] for row in m]
-    scale = lcm(1, *(x.denominator for row in m for x in row))
-    a = [[int(x * scale) for x in row] for row in m]  # minors of a are scale^p times m's
+    a, scale = _integer_rows(m)  # minors of a are scale^p times m's
     sets = list(combinations(range(1, len(a) + 1), p))
     out = {}
     for rows in sets:

@@ -82,45 +82,26 @@ def canonicalize(seq, n):
             raise IndexRangeError(f"index {x} outside 1..{n}")
     if len(set(seq)) != len(seq):
         return 0, ()
-    sign = 1
-    items = list(seq)
-    # insertion sort; counts inversions, fine for the short tuples used here
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(items)
+    return _sort_parity(seq)
+
+
+def _sort_parity(seq):
+    """(sign, sorted tuple) for distinct items; sign is the sorting parity."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return (-1 if inversions % 2 else 1), tuple(sorted(seq))
 
 
 def gen_delta(jp, k):
     """Generalized Kronecker delta det(delta^{jp_a}_{k_b}).
 
     Zero unless the two tuples are equal as sets of distinct indices, in
-    which case it is the sign of the permutation taking k onto jp, computed
-    by cycle decomposition instead of determinant expansion.
+    which case it is the sign of the permutation taking k onto jp: the
+    product of the two sorting parities.
     """
     jp, k = tuple(jp), tuple(k)
-    if len(jp) != len(k):
+    if len(jp) != len(k) or len(set(jp)) != len(jp) or set(jp) != set(k):
         return Fraction(0)
-    if len(set(jp)) != len(jp) or set(jp) != set(k):
-        return Fraction(0)
-    pos = {v: i for i, v in enumerate(jp)}
-    perm = [pos[v] for v in k]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return Fraction(sign)
+    return Fraction(_sort_parity(jp)[0] * _sort_parity(k)[0])
 
 
 class BasisElement(NamedTuple):
@@ -357,15 +338,14 @@ def unit(n):
 def _embed_signs(j, n):
     """Yield (sign, J, J + {j}) over subsets J avoiding j.
 
-    sign = (-1)^(number of elements of J below j); fixed against the
-    fermionic oracle so the anticommutation relations hold exactly.
+    sign = (-1)^(number of elements of J below j), the parity of sorting
+    (j,) + J; fixed against the fermionic oracle so the anticommutation
+    relations hold exactly.
     """
     others = [x for x in range(1, n + 1) if x != j]
     for p in range(len(others) + 1):
         for sub in combinations(others, p):
-            below = sum(1 for s in sub if s < j)
-            sign = -1 if below % 2 else 1
-            merged = tuple(sorted(sub + (j,)))
+            sign, merged = _sort_parity((j,) + sub)
             yield sign, sub, merged
 
 
@@ -435,13 +415,11 @@ class Metric:
 
     def pair(self, v, w):
         """g(v, w) on vector components."""
-        v, w = _components(v, self.n), _components(w, self.n)
-        return sum(self.g[i][j] * v[i] * w[j] for i in range(self.n) for j in range(self.n))
+        return sum(x * y for x, y in zip(self.flat(v), _components(w, self.n)))
 
     def pair_inv(self, a, b):
         """g^{-1}(a, b) on covector components."""
-        a, b = _components(a, self.n), _components(b, self.n)
-        return sum(self.g_inv[i][j] * a[i] * b[j] for i in range(self.n) for j in range(self.n))
+        return sum(x * y for x, y in zip(self.sharp(a), _components(b, self.n)))
 
     def _minors_of(self, p):
         """Nonzero p x p minors of g and of g^{-1}, each as {rows: ((cols, det), ...)}.

@@ -42,7 +42,6 @@ from .algebra import (
     _components,
     projector_p,
     projector_pi,
-    zero,
 )
 
 FAMILIES = ("b_upper", "b_upper_neg", "b_lower_neg", "beta_lower", "beta_lower_neg")
@@ -146,28 +145,22 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
     """Frame-mapped operator for spacetime index mu.
 
     'upper_neg' contracts b_^a with the frame matrix, 'lower_neg' contracts
-    b__a with its inverse.  Both are built over the Euclidean metric.
+    b__a with its inverse.  Over the Euclidean metric b_^a = E([a],[]) -
+    E([],[a]) = -b__a, so both are sum_a w_a (E([a],[]) - E([],[a])) with
+    w_a = L[mu][a] or w_a = -L^-1[a][mu].
     """
     n = lam.n if n is None else n
     if n != lam.n:
         raise IndexRangeError("frame map dimension must match n")
     if not 1 <= mu <= n:
         raise IndexRangeError(f"index {mu} outside 1..{n}")
-    g = Metric.euclidean(n)
-    out = zero(n)
     if variant == "upper_neg":
-        for a in range(1, n + 1):
-            w = lam.lam[mu - 1][a - 1]
-            if w:
-                out = out + w * make_generator("b_upper_neg", _basis_tuple(a, n), g)
-        return out
-    if variant == "lower_neg":
-        for a in range(1, n + 1):
-            w = lam.lam_inv[a - 1][mu - 1]
-            if w:
-                out = out + w * make_generator("b_lower_neg", _basis_tuple(a, n), g)
-        return out
-    raise ValueError(f"unknown variant {variant!r}")
+        w = lam.lam[mu - 1]
+    elif variant == "lower_neg":
+        w = [-row[mu - 1] for row in lam.lam_inv]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _p_left(w, n) - _p_right(w, n)
 
 
 def _triple(x, y, z):

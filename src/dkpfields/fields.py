@@ -373,18 +373,9 @@ def nabla(f: FieldPoly, p, n) -> AlgebraElement:
 
 
 def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
-    """Adjoint-placed derivative, supported on E(I,[]) and E(I,[a]) keys."""
-    _validate(g, p, n, ("y", "pi"))
-    terms = {}
-    for I in _multi_indices(n, p):
-        c = g.partial(y_sym(I))
-        if c:
-            terms[BasisElement(I, ())] = c
-        for a in range(1, n + 1):
-            c = g.partial(pi_sym(a, I))
-            if c:
-                terms[BasisElement(I, (a,))] = c
-    return AlgebraElement(n, terms)
+    """Adjoint-placed derivative: nabla g with each key E(J,K) moved to E(K,J)."""
+    return AlgebraElement(n, {BasisElement(be.lower, be.upper): c
+                              for be, c in nabla(g, p, n).terms()})
 
 
 # -- frame-map substitution ----------------------------------------------

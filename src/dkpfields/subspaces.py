@@ -22,10 +22,14 @@ class MembershipError(ValueError):
     """Element is not supported on the requested Z_(p) basis."""
 
 
-def zp_basis(n, p):
-    """Basis of Z_(p) in deterministic order: E([], I) first, then E([a], I)."""
+def _check_rank(n, p):
     if not 0 <= p <= n:
         raise IndexRangeError(f"rank {p} outside 0..{n}")
+
+
+def zp_basis(n, p):
+    """Basis of Z_(p) in deterministic order: E([], I) first, then E([a], I)."""
+    _check_rank(n, p)
     ranks = list(combinations(range(1, n + 1), p))
     out = [BasisElement((), ix) for ix in ranks]
     for a in range(1, n + 1):
@@ -36,17 +40,20 @@ def zp_basis(n, p):
 
 def dim_zp(n, p):
     """dim Z_(p) = (n+1) * C(n, p)."""
-    if not 0 <= p <= n:
-        raise IndexRangeError(f"rank {p} outside 0..{n}")
+    _check_rank(n, p)
     return (n + 1) * comb(n, p)
 
 
 def in_zp(x: AlgebraElement, n, p):
-    """True iff the support of x lies inside the Z_(p) basis."""
+    """True iff the support of x lies inside the Z_(p) basis.
+
+    That basis is every E(J, I) with |J| <= 1 and |I| = p, so only the shape
+    of each key is checked.
+    """
     if x.n != n:
         return False
-    allowed = set(zp_basis(n, p))
-    return all(be in allowed for be in x.support())
+    _check_rank(n, p)
+    return all(len(be.upper) <= 1 and len(be.lower) == p for be in x.support())
 
 
 def act_dkp(gen: AlgebraElement, z: AlgebraElement, p):

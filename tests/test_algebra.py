@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields import algebra as al
-from dkpfields._linalg import compound
+from dkpfields._linalg import SingularMatrixError, compound, identity, invert, mat_mul
 from dkpfields.algebra import (
     AlgebraElement,
     BasisElement,
@@ -356,6 +356,39 @@ def test_compound_minors_against_leibniz():
                     for cols in sets[p]:
                         sub = [[m[r - 1][c - 1] for c in cols] for r in rows]
                         assert nonzero.get(cols, 0) == leibniz_det(sub)
+
+
+def check_inverse(m):
+    """m * invert(m) == I, or SingularMatrixError exactly when det m == 0."""
+    if leibniz_det(m) == 0:
+        with pytest.raises(SingularMatrixError):
+            invert(m)
+    else:
+        inv = invert(m)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert mat_mul(m, inv) == identity(len(m))
+
+
+def test_invert_int_rows_gives_exact_fractions():
+    inv = invert([[2, 1], [1, 3]])
+    assert inv == ((Fraction(3, 5), Fraction(-1, 5)), (Fraction(-1, 5), Fraction(2, 5)))
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_invert_all_small_2x2():
+    for a, b, c, d in product(range(-2, 3), repeat=4):
+        check_inverse([[a, b], [c, d]])
+
+
+def test_invert_sparse_rational():
+    rng = random.Random(71)
+    for n in range(3, 6):
+        for _ in range(40):
+            # a zero corner and half zeros elsewhere force row swaps and singular cases
+            m = [[rng.choice((0, 0, 1, -1, Fraction(-3, 2), Fraction(2, 5))) for _ in range(n)]
+                 for _ in range(n)]
+            m[0][0] = 0
+            check_inverse(m)
 
 
 # -- contraction -----------------------------------------------------------------

@@ -196,6 +196,34 @@ def test_beta_mu_frame_recomposition():
         assert acc == make_generator("b_lower_neg", basis_vec(b, n), g)
 
 
+def beta_mu_by_generators(lam, mu, variant):
+    """Frame contraction of make_generator over the Euclidean metric, term by term."""
+    n = lam.n
+    g = Metric.euclidean(n)
+    out = al.zero(n)
+    if variant == "upper_neg":
+        for a in range(1, n + 1):
+            w = lam.lam[mu - 1][a - 1]
+            if w:
+                out = out + w * make_generator("b_upper_neg", basis_vec(a, n), g)
+        return out
+    for a in range(1, n + 1):
+        w = lam.lam_inv[a - 1][mu - 1]
+        if w:
+            out = out + w * make_generator("b_lower_neg", basis_vec(a, n), g)
+    return out
+
+
+def test_beta_mu_matches_generator_contraction():
+    rng = random.Random(67)
+    for n in range(1, 6):
+        for _ in range(4):
+            lam = rand_frame(n, rng)
+            for mu in range(1, n + 1):
+                for variant in ("upper_neg", "lower_neg"):
+                    assert beta_mu(lam, mu, variant) == beta_mu_by_generators(lam, mu, variant)
+
+
 def test_ndkc_identity_frame():
     for n in (1, 2, 3):
         lam = FrameMap.identity(n)

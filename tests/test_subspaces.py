@@ -70,6 +70,14 @@ def test_in_zp():
     assert not in_zp(al.single(2, (1,), (1,)), 2, 0)
     assert in_zp(al.single(2, (1,), (1,)), 2, 1)
     assert in_zp(al.zero(2), 2, 1)
+    for n in (1, 2, 3):
+        for p in range(n + 1):
+            allowed = set(zp_basis(n, p))
+            for be in al.basis_elements(n):
+                assert in_zp(al.single(n, be.upper, be.lower), n, p) == (be in allowed)
+    with pytest.raises(IndexRangeError):
+        in_zp(al.zero(2), 2, 3)
+    assert not in_zp(al.zero(2), 3, 4)  # another n is rejected before p is checked
 
 
 def test_membership_guard():
