@@ -185,6 +185,8 @@ def _cmd_bracket(args, out):
 def _cmd_oracle_check(args, out):
     if args.n > 3:
         raise UsageError("oracle-check runs the full basis sweep for n <= 3 only")
+    if args.pairs < 0:
+        raise UsageError("--pairs must be >= 0")
     rng = random.Random(args.seed)
     n = args.n
     bes = al.basis_elements(n)

@@ -16,13 +16,20 @@ multi-index (rank 0), so pi[1] is shorthand for pi[1][].  Multi-indices
 are canonicalized on the fly: y[2,1] parses to -1 * y[1,2] and a repeated
 index contributes the zero polynomial.  Indices are validated against the
 dimension n and the rank p of the surrounding context.
+
+Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
+product or power whose term count could exceed MAX_TERMS, is a ParseError.
 """
 
 import re
+from math import comb
 
 from .fields import FieldPoly, RankError, symbol_poly
 
-__all__ = ["ParseError", "parse_expr"]
+__all__ = ["MAX_EXPONENT", "MAX_TERMS", "ParseError", "parse_expr"]
+
+MAX_EXPONENT = 64
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -100,8 +107,10 @@ class _Parser:
     def term(self):
         poly = self.factor()
         while self.peek()[1] == "*":
-            self.next()
-            poly = poly * self.factor()
+            pos = self.next()[2]
+            rhs = self.factor()
+            _check_terms(len(poly.terms) * len(rhs.terms), pos)
+            poly = poly * rhs
         return poly
 
     def factor(self):
@@ -111,7 +120,12 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", pos)
-            poly = poly ** int(text)
+            e, t = int(text), len(poly.terms)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
+            # a t-term polynomial to the e has at most C(e + t - 1, e) terms
+            _check_terms(comb(e + t - 1, e) if t else 1, pos)
+            poly = poly ** e
         return poly
 
     def primary(self):
@@ -185,6 +199,11 @@ class _Parser:
                 f"symbol at offset {pos} has rank {len(seq)}, context expects {self.p}"
             )
         return symbol_poly(kindname, idx, seq, self.n)
+
+
+def _check_terms(bound, pos):
+    if bound > MAX_TERMS:
+        raise ParseError(f"expansion to up to {bound} terms is above the cap {MAX_TERMS}", pos)
 
 
 def parse_expr(src, n, p) -> FieldPoly:

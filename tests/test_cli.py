@@ -12,6 +12,7 @@ import pytest
 import dkpfields
 from dkpfields import cli
 from dkpfields.cli import main
+from dkpfields.fields import FieldPoly
 
 
 def run_cli(argv):
@@ -155,6 +156,22 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["verify", "--n", "2", "--lambda", "1,2"])  # not square
     assert code == 2
+
+
+def test_oracle_check_negative_pairs_exit_2(capsys):
+    code, out = run_cli(["oracle-check", "--n", "1", "--pairs", "-5"])
+    assert (code, out) == (2, "")
+    assert "--pairs must be >= 0" in capsys.readouterr().err
+
+
+def test_parser_cap_exits_2(monkeypatch, capsys):
+    def no_pow(poly, e):
+        raise AssertionError("the power was expanded")
+
+    monkeypatch.setattr(FieldPoly, "__pow__", no_pow)
+    code, out = run_cli(["derive-dwh", "--n", "2", "--p", "0", "--H", "(y[]+pi[1])^3000"])
+    assert (code, out) == (2, "")
+    assert "exponent 3000 is above the cap" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_2():

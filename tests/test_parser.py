@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields.fields import FieldPoly, RankError, p_sym, pi_sym, y_sym
-from dkpfields.parser import ParseError, parse_expr
+from dkpfields.parser import MAX_EXPONENT, MAX_TERMS, ParseError, parse_expr
 
 Y = lambda *I: FieldPoly.of(y_sym(I))
 PI = lambda a, *I: FieldPoly.of(pi_sym(a, I))
@@ -85,6 +85,36 @@ def test_rank_mismatch():
 def test_exponent_must_be_natural():
     with pytest.raises(ParseError):
         parse_expr("y[1]^y[1]", 2, 1)
+
+
+def test_expansion_caps_fail_before_expanding(monkeypatch):
+    assert parse_expr(f"y[]^{MAX_EXPONENT}", 1, 0) == Y() ** MAX_EXPONENT
+
+    def no_pow(poly, e):
+        raise AssertionError("a power was expanded past the exponent cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(FieldPoly, "__pow__", no_pow)
+        with pytest.raises(ParseError, match=f"exponent {MAX_EXPONENT + 1} is above"):
+            parse_expr(f"(y[]+pi[1])^{MAX_EXPONENT + 1}", 2, 0)
+
+    mul = FieldPoly.__mul__
+
+    def capped_mul(a, b):
+        if isinstance(b, FieldPoly) and len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise AssertionError("a product was expanded past the term cap")
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldPoly, "__mul__", capped_mul)
+    # three terms to the 30th expand to up to C(32, 2) = 496 terms: accepted
+    assert len(parse_expr("(y[]+pi[1]+pi[2])^30", 2, 0).terms) == 496
+    # four terms to the 40th expand to up to C(43, 3) = 12341 terms
+    with pytest.raises(ParseError, match="12341 terms"):
+        parse_expr("(y[]+pi[1]+pi[2]+pi[3])^40", 3, 0)
+    # two 110-term factors
+    side = " + ".join(f"y[]^{i}*pi[{{a}}]^{j}" for i in range(11) for j in range(10))
+    with pytest.raises(ParseError, match="12100 terms"):
+        parse_expr(f"({side.format(a=1)})*({side.format(a=2)})", 2, 0)
 
 
 def _random_source(rng, n, p):
