@@ -6,7 +6,9 @@ Subcommands:
     dims          table of invariant-subspace dimensions
     derive-dwh    derive the covariant Hamiltonian field equations
     bracket       evaluate the bracket of two expressions
-    oracle-check  check the algebra product against the Fock representation
+
+The Fock-representation oracle sweep is the core/representation oracle
+group of verify --suite core.
 
 Reports are deterministic for a fixed seed and flag set; --format json
 emits a stable sorted-key document.  Exit codes: 0 pass, 1 check failure,
@@ -15,17 +17,15 @@ emits a stable sorted-key document.  Exit codes: 0 pass, 1 check failure,
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
 from . import algebra as al
-from . import fock
 from .dkp import FrameMap
 from .fields import RankError, bracket, bracket_closed_form, dwh_derive
 from .parser import ParseError, parse_expr
 from .subspaces import dim_zp
-from .suites import SUITE_NAMES, rand_element, run_suites
+from .suites import SUITE_NAMES, run_suites
 
 
 class UsageError(ValueError):
@@ -107,7 +107,7 @@ def _cmd_verify(args, out):
     ]
     report = _report(
         "verify",
-        {"n": args.n, "p": args.p, "seed": args.seed, "suite": args.suite,
+        {"n": args.n, "seed": args.seed, "suite": args.suite,
          "metric": args.metric, "lambda": args.lam},
         results,
         sum(c.run for c in checks),
@@ -182,53 +182,6 @@ def _cmd_bracket(args, out):
     return 0 if agree else 1
 
 
-def _cmd_oracle_check(args, out):
-    if args.n > 3:
-        raise UsageError("oracle-check runs the full basis sweep for n <= 3 only")
-    if args.pairs < 0:
-        raise UsageError("--pairs must be >= 0")
-    rng = random.Random(args.seed)
-    n = args.n
-    bes = al.basis_elements(n)
-    singles = {be: al.single(n, be.upper, be.lower) for be in bes}
-    reps = {be: fock.represent(singles[be]) for be in bes}
-    failed = 0
-    run = 0
-    for b1 in bes:
-        for b2 in bes:
-            run += 1
-            if fock.represent(singles[b1] * singles[b2]) != reps[b1] @ reps[b2]:
-                failed += 1
-    results = [
-        {"name": "product homomorphism on basis pairs",
-         "status": "PASS" if failed == 0 else "FAIL", "detail": f"{run} pairs"}
-    ]
-    rfail = 0
-    for _ in range(args.pairs):
-        x, y = rand_element(n, rng), rand_element(n, rng)
-        if fock.represent(x * y) != fock.represent(x) @ fock.represent(y):
-            rfail += 1
-    results.append(
-        {"name": "product homomorphism on random pairs",
-         "status": "PASS" if rfail == 0 else "FAIL", "detail": f"{args.pairs} pairs"}
-    )
-    faithful = len(set(reps.values())) == len(bes)
-    results.append(
-        {"name": "faithful on basis", "status": "PASS" if faithful else "FAIL",
-         "detail": f"{len(bes)} elements"}
-    )
-    total_failed = failed + rfail + (0 if faithful else 1)
-    report = _report(
-        "oracle-check",
-        {"n": args.n, "seed": args.seed, "pairs": args.pairs},
-        results,
-        run + args.pairs + 1,
-        total_failed,
-    )
-    _emit(report, args.format, out)
-    return 0 if total_failed == 0 else 1
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dkpfields",
@@ -243,7 +196,7 @@ def _build_parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     pv = sub.add_parser("verify", help="run exact identity suites")
-    common(pv)
+    common(pv, with_p=False)
     pv.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--metric", default="identity",
@@ -265,11 +218,6 @@ def _build_parser():
     pb.add_argument("--G")
     pb.add_argument("--F")
     pb.add_argument("--lambda", dest="lam", default="identity")
-
-    po = sub.add_parser("oracle-check", help="representation oracle sweep")
-    common(po, with_p=False)
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--pairs", type=int, default=200)
     return parser
 
 
@@ -305,7 +253,6 @@ def main(argv=None):
         "dims": _cmd_dims,
         "derive-dwh": _cmd_derive_dwh,
         "bracket": _cmd_bracket,
-        "oracle-check": _cmd_oracle_check,
     }
     try:
         return handlers[args.command](args, sys.stdout)

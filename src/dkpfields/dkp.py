@@ -63,9 +63,6 @@ class FrameMap:
     def identity(cls, n):
         return cls(identity(n))
 
-    def is_orthogonal(self):
-        return mat_mul(self.lam, transpose(self.lam)) == identity(self.n)
-
     def __eq__(self, other):
         return isinstance(other, FrameMap) and self.lam == other.lam
 
@@ -163,22 +160,21 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
     return _p_left(w, n) - _p_right(w, n)
 
 
-def _triple(x, y, z):
-    return x * y * z + z * y * x
+def _triple_residual(lam: FrameMap, mu, nu, gamma, w):
+    """B^mu B^nu B^ga + B^ga B^nu B^mu + w^{mu nu} B^ga + w^{ga nu} B^mu."""
+    bs = {m: beta_mu(lam, m, "upper_neg") for m in {mu, nu, gamma}}
+    lhs = bs[mu] * bs[nu] * bs[gamma] + bs[gamma] * bs[nu] * bs[mu]
+    return lhs + w[mu - 1][nu - 1] * bs[gamma] + w[gamma - 1][nu - 1] * bs[mu]
 
 
 def ndkc_residual(lam: FrameMap, mu, nu, gamma):
     """Residual of the literal delta-form triple relation for beta^mu.
 
-    Exactly zero for every (mu, nu, gamma) iff the frame map has orthonormal
-    rows; see module docstring.
+    It is the induced residual with the identity in place of L L^T, so it
+    is exactly zero for every (mu, nu, gamma) iff the frame map has
+    orthonormal rows; see module docstring.
     """
-    bs = {m: beta_mu(lam, m, "upper_neg") for m in {mu, nu, gamma}}
-    lhs = _triple(bs[mu], bs[nu], bs[gamma])
-    d_mn = Fraction(int(mu == nu))
-    d_gn = Fraction(int(gamma == nu))
-    rhs = (-d_mn) * bs[gamma] + (-d_gn) * bs[mu]
-    return lhs - rhs
+    return _triple_residual(lam, mu, nu, gamma, identity(lam.n))
 
 
 def ndkc_induced_residual(lam: FrameMap, mu, nu, gamma):
@@ -191,8 +187,4 @@ def ndkc_induced_residual(lam: FrameMap, mu, nu, gamma):
 
     holds exactly for every invertible frame map.
     """
-    gram = mat_mul(lam.lam, transpose(lam.lam))
-    bs = {m: beta_mu(lam, m, "upper_neg") for m in {mu, nu, gamma}}
-    lhs = _triple(bs[mu], bs[nu], bs[gamma])
-    rhs = (-gram[mu - 1][nu - 1]) * bs[gamma] + (-gram[gamma - 1][nu - 1]) * bs[mu]
-    return lhs - rhs
+    return _triple_residual(lam, mu, nu, gamma, mat_mul(lam.lam, transpose(lam.lam)))

@@ -65,7 +65,6 @@ __all__ = [
     "dwh_derive",
     "nabla",
     "nabla_adjoint",
-    "partial",
     "dp_sym",
     "dpi_sym",
     "dy_sym",
@@ -310,9 +309,6 @@ class FieldPoly:
     def symbols(self):
         return {s for mono in self.terms for s, _ in mono}
 
-    def degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -337,10 +333,6 @@ def _merge_monomials(m1, m2):
     for s, e in m2:
         exps[s] = exps.get(s, 0) + e
     return tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
-
-
-def partial(f: FieldPoly, sym: FieldSymbol) -> FieldPoly:
-    return f.partial(sym)
 
 
 def _validate(f: FieldPoly, p, n, kinds):
@@ -523,37 +515,27 @@ def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
     return out
 
 
-def _route(route):
-    if route == "word":
-        return bracket
-    if route == "closed":
-        return lambda g, f, mu, p, lam, n: bracket_closed_form(g, f, mu, p, n)
-    raise ValueError(f"unknown bracket route {route!r}")
-
-
-def check_leibniz(g, f, k, mu, p, lam, n, route="word"):
+def check_leibniz(g, f, k, mu, p, lam, n):
     """Residual {g*f, k} - f*{g, k} - g*{f, k}; zero iff the rule holds."""
-    br = _route(route)
     return (
-        br(g * f, k, mu, p, lam, n)
-        - f * br(g, k, mu, p, lam, n)
-        - g * br(f, k, mu, p, lam, n)
+        bracket(g * f, k, mu, p, lam, n)
+        - f * bracket(g, k, mu, p, lam, n)
+        - g * bracket(f, k, mu, p, lam, n)
     )
 
 
-def check_jacobi_sym(g, f, k, mu, nu, p, lam, n, route="word"):
+def check_jacobi_sym(g, f, k, mu, nu, p, lam, n):
     """Symmetrized double-bracket cyclic residual.
 
     (1/2) [ {{g,f}_mu, k}_nu + {{g,f}_nu, k}_mu ]  +  cyclic(g, f, k);
     the zero polynomial iff the generalized Jacobi identity holds.
     """
-    br = _route(route)
     half = Fraction(1, 2)
     out = FieldPoly.zero()
     for x, y, z in ((g, f, k), (f, k, g), (k, g, f)):
-        inner_mu = br(x, y, mu, p, lam, n)
-        inner_nu = br(x, y, nu, p, lam, n)
+        inner_mu = bracket(x, y, mu, p, lam, n)
+        inner_nu = bracket(x, y, nu, p, lam, n)
         out = out + half * (
-            br(inner_mu, z, nu, p, lam, n) + br(inner_nu, z, mu, p, lam, n)
+            bracket(inner_mu, z, nu, p, lam, n) + bracket(inner_nu, z, mu, p, lam, n)
         )
     return out

@@ -83,12 +83,6 @@ class DenseOperator:
             ),
         )
 
-    def scale(self, c):
-        c = Fraction(c) if isinstance(c, int) else c
-        return DenseOperator._trusted(
-            self.n, tuple(tuple(c * a for a in row) for row in self.rows)
-        )
-
     def transpose(self):
         return DenseOperator._trusted(self.n, tuple(zip(*self.rows)))
 

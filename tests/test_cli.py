@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -139,10 +140,10 @@ def test_values_starting_with_minus():
     assert "PASS bracket (1)" in run_cli(cases[2])[1]
 
 
-def test_oracle_check():
-    code, out = run_cli(["oracle-check", "--n", "2", "--seed", "5", "--pairs", "20"])
+def test_verify_core_runs_the_oracle_sweep():
+    code, out = run_cli(["verify", "--n", "2", "--suite", "core", "--seed", "5"])
     assert code == 0
-    assert "RESULT: PASS" in out
+    assert "PASS core/representation oracle (309 checks)" in out
 
 
 def test_usage_errors_exit_2():
@@ -156,12 +157,6 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["verify", "--n", "2", "--lambda", "1,2"])  # not square
     assert code == 2
-
-
-def test_oracle_check_negative_pairs_exit_2(capsys):
-    code, out = run_cli(["oracle-check", "--n", "1", "--pairs", "-5"])
-    assert (code, out) == (2, "")
-    assert "--pairs must be >= 0" in capsys.readouterr().err
 
 
 def test_parser_cap_exits_2(monkeypatch, capsys):
@@ -182,7 +177,13 @@ def test_bad_flags_exit_2():
         main(["verify", "--n", "0"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "2", "--p", "5"])
+        main(["derive-dwh", "--n", "2", "--p", "5"])
+    assert exc.value.code == 2
+
+
+def test_verify_has_no_rank_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--p", "0"])
     assert exc.value.code == 2
 
 
@@ -205,3 +206,18 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "dim Z_(1) (6)" in done.stdout
+
+
+def readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dkpfields ")]
+
+
+def test_readme_commands_run():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        code, out = run_cli(argv)
+        assert code == 0, (argv, out)
