@@ -179,11 +179,8 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["derive-dwh", "--n", "2", "--p", "5"])
     assert exc.value.code == 2
-
-
-def test_verify_has_no_rank_option():
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "2", "--p", "0"])
+        main(["verify", "--n", "2", "--p", "0"])  # verify takes no rank
     assert exc.value.code == 2
 
 
