@@ -5,7 +5,10 @@ bracket cases at n = 3, 4 and p = 0..2, verify --n 1..4 --seed 42, the
 core suite at n = 3 over a dense indefinite metric (the one report whose
 adjoint is not the Euclidean one), verify --n 1, 2 --seed 0, and all suites
 at n = 3 with seed 0 over that metric and a dense frame, each with its exit
-code and full stdout.  Refactors must leave every report unchanged.  After a deliberate change of report content, rewrite
+code and full stdout.  Two more cases pin the polynomial kernel: a
+derive-dwh at n = 4, p = 1 whose H has cubic and quartic monomials with
+exponents 3 and 4, and a bracket at n = 4, p = 2 whose p -> pi frame
+substitution cancels monomials of F.  Refactors must leave every report unchanged.  After a deliberate change of report content, rewrite
 the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
