@@ -45,7 +45,9 @@ symmetrized double-bracket cyclic identity.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from ._linalg import identity, mat_mul
@@ -157,8 +159,19 @@ def symbol_poly(kind, idx, seq, n):
 class FieldPoly:
     """Sparse multivariate polynomial with Fraction coefficients.
 
-    Monomials are sorted tuples of (FieldSymbol, exponent) pairs; the empty
-    tuple is the constant monomial.  Immutable after construction.
+    Monomials are tuples of (FieldSymbol, exponent) pairs sorted by
+    FieldSymbol.sort_key; the empty tuple is the constant monomial.  terms
+    maps monomials to nonzero coefficients.  The constructor sorts the
+    factors of each monomial it is given and adds up terms that then
+    coincide.  Immutable after construction.
+
+    One kernel does the arithmetic, at a cost that follows the terms it
+    touches.  _mul_into adds a product of two term dicts into a third; *,
+    substitute and bracket_closed_form accumulate through it, and ** expands
+    by the multinomial theorem through it.  _merge_monomials merges two
+    sorted factor lists in one pass.  _gradient reads every partial
+    derivative off one pass over the terms, for partial, nabla and
+    bracket_closed_form.
     """
 
     __slots__ = ("terms",)
@@ -168,8 +181,14 @@ class FieldPoly:
         if terms:
             for mono, c in terms.items():
                 c = _coerce(c)
+                if len(mono) > 1:  # sort the factors and combine a repeated symbol
+                    mono = reduce(lambda m, f: _merge_monomials(m, (f,)), mono, ())
+                if mono in clean:
+                    c += clean[mono]
                 if c:
                     clean[mono] = c
+                else:
+                    clean.pop(mono, None)
         self.terms = clean
 
     @classmethod
@@ -222,28 +241,26 @@ class FieldPoly:
             return FieldPoly._raw({m: c * v for m, v in self.terms.items()})
         if not isinstance(other, FieldPoly):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                s = out.get(m)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return FieldPoly._raw(out)
+        return FieldPoly._raw(_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """self**e by the multinomial theorem, one term per composition of e.
+
+        A t-term polynomial costs C(e + t - 1, t - 1) monomial merges, the
+        bound the parser checks before it expands a power.
+        """
         if e < 0:
             raise ValueError("negative power")
-        out = FieldPoly.const(1)
-        for _ in range(e):
-            out = out * self
-        return out
+        if e == 0:
+            return FieldPoly.const(1)
+        if e == 1 or not self.terms:
+            return self
+        powers = [[((), 1), (m, c)] + [(tuple((s, x * k) for s, x in m), c**k)
+                                       for k in range(2, e + 1)]
+                  for m, c in self.terms.items()]
+        return FieldPoly._raw(_pow_into({}, powers, 0, e, (), Fraction(1)))
 
     def __bool__(self):
         return bool(self.terms)
@@ -278,33 +295,24 @@ class FieldPoly:
         """Formal partial derivative by a y/pi/p symbol."""
         if sym.kind in _DERIVATIVE_KINDS:
             raise KindError(f"cannot differentiate by derivative symbol {sym}")
-        out = {}
-        for mono, c in self.terms.items():
-            for i, (s, e) in enumerate(mono):
-                if s == sym:
-                    if e == 1:
-                        m = mono[:i] + mono[i + 1 :]
-                    else:
-                        m = mono[:i] + ((s, e - 1),) + mono[i + 1 :]
-                    v = out.get(m, Fraction(0)) + c * e
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
-                    break
-        return FieldPoly._raw(out)
+        return _gradient(self).get(sym, FieldPoly.zero())
 
     def substitute(self, mapping):
-        """Replace symbols by polynomials; mapping: FieldSymbol -> FieldPoly."""
-        out = FieldPoly.zero()
+        """Replace symbols by polynomials; mapping: FieldSymbol -> FieldPoly.
+
+        Every monomial's product is accumulated into one term dict: factors
+        without a replacement stay in the monomial, and each replaced factor
+        is multiplied in through _mul_into.
+        """
+        out = {}
         for mono, c in self.terms.items():
-            prod = FieldPoly.const(c)
-            for sym, e in mono:
-                rep = mapping.get(sym)
-                base = rep if rep is not None else FieldPoly.of(sym)
-                prod = prod * base**e
-            out = out + prod
-        return out
+            kept = tuple(f for f in mono if mapping.get(f[0]) is None)
+            reps = [mapping[s] ** e for s, e in mono if mapping.get(s) is not None]
+            prod = {kept: c}
+            for rep in reps[:-1]:
+                prod = _mul_into({}, prod, rep.terms)
+            _mul_into(out, prod, reps[-1].terms if reps else _ONE)
+        return FieldPoly._raw(out)
 
     def symbols(self):
         return {s for mono in self.terms for s, _ in mono}
@@ -327,12 +335,85 @@ class FieldPoly:
 
 
 def _merge_monomials(m1, m2):
-    exps = {}
-    for s, e in m1:
-        exps[s] = exps.get(s, 0) + e
-    for s, e in m2:
-        exps[s] = exps.get(s, 0) + e
-    return tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
+    """Product of two monomials, by one merge of their sorted factor lists."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (s, e), (t, f) = m1[i], m2[j]
+        if s == t:
+            out.append((s, e + f))
+            i += 1
+            j += 1
+        elif s.sort_key() < t.sort_key():
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
+
+
+_ONE = {(): Fraction(1)}
+
+
+def _mul_into(out, t1, t2):
+    """Add the product of term dicts t1 and t2 into out; returns out.
+
+    The one product loop of FieldPoly: a coefficient that cancels is
+    removed, so out keeps no zero coefficient.
+    """
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = _merge_monomials(m1, m2)
+            s = out.get(m)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _pow_into(out, powers, i, left, mono, coeff):
+    """Add coeff * mono * (sum of the terms i, i+1, ...)**left into out.
+
+    powers[i][k] is term i to the k, as a (monomial, coefficient) pair.  Each
+    level picks the exponent k of one term, with weight C(left, k); the last
+    term takes what is left, so every composition is visited once.
+    """
+    if i == len(powers) - 1:
+        m, c = powers[i][left]
+        return _mul_into(out, {mono: coeff}, {m: c})
+    for k in range(left + 1):
+        m, c = powers[i][k]
+        _pow_into(out, powers, i + 1, left - k, _merge_monomials(mono, m),
+                  coeff * (comb(left, k) * c) if k else coeff)
+    return out
+
+
+def _gradient(f: FieldPoly):
+    """{symbol: df/dsymbol} for every symbol of f, in one pass over its terms."""
+    grad = {}
+    for mono, c in f.terms.items():
+        for i, (s, e) in enumerate(mono):
+            if e == 1:
+                m = mono[:i] + mono[i + 1 :]
+            else:
+                m = mono[:i] + ((s, e - 1),) + mono[i + 1 :]
+            d = grad.get(s)
+            if d is None:
+                d = grad[s] = {}
+            v = d.get(m)
+            v = c * e if v is None else v + c * e
+            if v:
+                d[m] = v
+            else:
+                del d[m]
+    return {s: FieldPoly._raw(d) for s, d in grad.items() if d}
 
 
 def _validate(f: FieldPoly, p, n, kinds):
@@ -350,15 +431,21 @@ def _multi_indices(n, p):
 
 
 def nabla(f: FieldPoly, p, n) -> AlgebraElement:
-    """Z_(p)-valued derivative of a polynomial in y/pi symbols."""
+    """Z_(p)-valued derivative of a polynomial in y/pi symbols.
+
+    Every partial derivative is read from one pass over the terms of f
+    (_gradient), so the cost follows the terms of f, not the (n+1) C(n,p)
+    keys of Z_(p).
+    """
     _validate(f, p, n, ("y", "pi"))
+    grad = _gradient(f)
     terms = {}
     for I in _multi_indices(n, p):
-        c = f.partial(y_sym(I))
+        c = grad.get(FieldSymbol("y", (), I))
         if c:
             terms[BasisElement((), I)] = c
         for a in range(1, n + 1):
-            c = f.partial(pi_sym(a, I))
+            c = grad.get(FieldSymbol("pi", (a,), I))
             if c:
                 terms[BasisElement((a,), I)] = c
     return AlgebraElement(n, terms)
@@ -473,12 +560,12 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
         momentum.append((I, lhs, rhs))
         by_c = [_coefficient(rhs_el, BasisElement((c,), I)) for c in range(1, n + 1)]
         for nu in range(1, n + 1):
-            rhs_nu = FieldPoly.zero()
+            rhs_nu = {}
             for c in range(1, n + 1):
                 w = lam.lam_inv[c - 1][nu - 1]
                 if w:
-                    rhs_nu = rhs_nu + w * by_c[c - 1]
-            rhs_nu = _frame_subst(rhs_nu, "pi", lam.lam_inv, "p")
+                    _mul_into(rhs_nu, {(): w}, by_c[c - 1].terms)
+            rhs_nu = _frame_subst(FieldPoly._raw(rhs_nu), "pi", lam.lam_inv, "p")
             field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs_nu))
     return DwhEquations(n, p, momentum, field)
 
@@ -507,12 +594,15 @@ def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
     """sum_I ( dg/dy[I] df/dp[mu][I] - df/dy[I] dg/dp[mu][I] )."""
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    out = FieldPoly.zero()
+    dg, df = _gradient(g), _gradient(f)
+    out = {}
     for I in _multi_indices(n, p):
-        ys = y_sym(I)
-        ps = p_sym(mu, I)
-        out = out + g.partial(ys) * f.partial(ps) - f.partial(ys) * g.partial(ps)
-    return out
+        ys, ps = FieldSymbol("y", (), I), FieldSymbol("p", (mu,), I)
+        if ys in dg and ps in df:
+            _mul_into(out, dg[ys].terms, df[ps].terms)
+        if ys in df and ps in dg:
+            _mul_into(out, (-df[ys]).terms, dg[ps].terms)
+    return FieldPoly._raw(out)
 
 
 def check_leibniz(g, f, k, mu, p, lam, n):

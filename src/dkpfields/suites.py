@@ -7,6 +7,7 @@ so a fixed seed reproduces the identical report byte for byte.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import algebra as al
@@ -57,8 +58,14 @@ def rand_fraction(rng, lo=-4, hi=4, den=3):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
+@lru_cache(maxsize=4)
+def _basis(n):
+    """basis_elements(n) as a tuple in the same order, built once per n."""
+    return tuple(al.basis_elements(n))
+
+
 def rand_element(n, rng, nterms=4):
-    bes = al.basis_elements(n)
+    bes = _basis(n)
     terms = {}
     for _ in range(nterms):
         terms[rng.choice(bes)] = rand_fraction(rng)

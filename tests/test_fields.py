@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from dkpfields.dkp import FrameMap
 from dkpfields.fields import (
     DwhEquations,
     FieldPoly,
+    FieldSymbol,
     KindError,
     RankError,
     bracket,
@@ -73,6 +75,15 @@ def test_poly_str_and_order():
     f = Fraction(3, 2) * Y(1) * P(2, 1) ** 2 + 1
     assert str(f) == "1 + 3/2 * y[1] * p[2][1]^2"
     assert str(FieldPoly.zero()) == "0"
+
+
+def test_constructor_sorts_factors():
+    y, p = y_sym((1,)), p_sym(1, (1,))
+    f = FieldPoly({((p, 1), (y, 1)): 1, ((y, 1), (p, 1)): 2})
+    assert f == 3 * Y(1) * P(1, 1)
+    assert f * Y(1) == 3 * Y(1) ** 2 * P(1, 1)
+    assert FieldPoly({((y, 1), (p, 1), (y, 2)): 1}) == Y(1) ** 3 * P(1, 1)
+    assert FieldPoly({((p, 1), (y, 1)): 1, ((y, 1), (p, 1)): -1}).terms == {}
 
 
 def test_float_rejected():
@@ -454,3 +465,167 @@ def test_dwh_equations_type():
     eqs = dwh_derive(Y() ** 2, 0, FrameMap.identity(2), 2)
     assert isinstance(eqs, DwhEquations)
     assert eqs != dwh_derive(Y() ** 2 + Y(), 0, FrameMap.identity(2), 2)
+
+
+# -- kernel against the reference bodies ---------------------------------------
+#
+# The bodies below are the earlier FieldPoly kernel, kept as the reference:
+# a product that sorts every merged monomial, a power by repeated
+# multiplication, a partial derivative that scans every term for one symbol,
+# and a substitution that adds one product per monomial to a copied
+# accumulator.
+
+
+def _ref_merge(m1, m2):
+    exps = {}
+    for s, e in m1 + m2:
+        exps[s] = exps.get(s, 0) + e
+    return tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = _ref_merge(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return FieldPoly(out)
+
+
+def _ref_pow(a, e):
+    out = FieldPoly.const(1)
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_partial(f, sym):
+    out = {}
+    for mono, c in f.terms.items():
+        for i, (s, e) in enumerate(mono):
+            if s == sym:
+                m = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1 :]
+                out[m] = out.get(m, 0) + c * e
+                break
+    return FieldPoly(out)
+
+
+def _ref_substitute(f, mapping):
+    out = FieldPoly.zero()
+    for mono, c in f.terms.items():
+        prod = FieldPoly.const(c)
+        for sym, e in mono:
+            rep = mapping.get(sym)
+            prod = _ref_mul(prod, _ref_pow(rep if rep is not None else FieldPoly.of(sym), e))
+        out = out + prod
+    return out
+
+
+def _rand_poly(rng, syms, nterms, max_e=3):
+    """Random polynomial over syms; a monomial with no factor is the constant."""
+    terms = {}
+    for _ in range(nterms):
+        exps = {s: rng.randint(1, max_e) for s in rng.sample(syms, rng.randint(0, 3))}
+        mono = tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return FieldPoly(terms)
+
+
+def _field_syms(n, p, kinds):
+    out = []
+    for I in combinations(range(1, n + 1), p):
+        if "y" in kinds:
+            out.append(y_sym(I))
+        for a in range(1, n + 1):
+            out += [FieldSymbol(k, (a,), I) for k in kinds if k != "y"]
+    return out
+
+
+def _assert_canonical(f):
+    """Sorted monomials of distinct symbols, positive exponents, no zero coefficient."""
+    for mono, c in f.terms.items():
+        assert isinstance(c, Fraction) and c != 0
+        keys = [s.sort_key() for s, _ in mono]
+        assert keys == sorted(set(keys))
+        assert all(e >= 1 for _, e in mono)
+
+
+def test_product_power_and_partial_match_reference():
+    rng = random.Random(53)
+    syms = _field_syms(3, 1, ("y", "pi", "p"))
+    for _ in range(40):
+        a, b = _rand_poly(rng, syms, 4), _rand_poly(rng, syms, 3)
+        assert a * b == _ref_mul(a, b)
+        _assert_canonical(a * b)
+        for s in syms:  # symbols of a and symbols a lacks alike
+            assert a.partial(s) == _ref_partial(a, s)
+            _assert_canonical(a.partial(s))
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(59)
+    syms = _field_syms(2, 1, ("y", "pi"))
+    for _ in range(12):
+        a = _rand_poly(rng, syms, rng.randint(0, 4), max_e=2)
+        for e in range(9):
+            got = a**e
+            assert got == _ref_pow(a, e)
+            _assert_canonical(got)
+
+
+def test_substitute_matches_reference():
+    rng = random.Random(61)
+    n, p = 3, 1
+    syms = _field_syms(n, p, ("y", "p"))
+    targets = _field_syms(n, p, ("y", "pi"))
+    for _ in range(40):
+        f = _rand_poly(rng, syms, 5)
+        # some symbols of f are mapped (to constants and to zero as well),
+        # the rest are missing from the mapping and stay
+        mapping = {s: _rand_poly(rng, targets, rng.randint(0, 3), max_e=2)
+                   for s in rng.sample(syms, 3)}
+        got = f.substitute(mapping)
+        assert got == _ref_substitute(f, mapping)
+        _assert_canonical(got)
+
+
+def test_substitute_cancellation_stores_no_zero():
+    # p[mu][1] -> pi[1][1] + pi[2][1] for both mu, so p[1][1] - p[2][1] maps to zero
+    mapping = {p_sym(mu, (1,)): PI(1, 1) + PI(2, 1) for mu in (1, 2)}
+    f = (P(1, 1) - P(2, 1)) * Y(1) ** 2 + Y(2) ** 3
+    got = f.substitute(mapping)
+    assert got.terms == {((y_sym((2,)), 3),): Fraction(1)}
+    assert got == _ref_substitute(f, mapping)
+    assert (P(1, 1) - P(2, 1)).substitute(mapping).terms == {}
+
+
+def test_nabla_matches_reference_scan():
+    rng = random.Random(67)
+    for n, p in ((2, 0), (3, 1), (4, 2)):
+        syms = _field_syms(n, p, ("y", "pi"))
+        for _ in range(10):
+            f = _rand_poly(rng, syms, 5)
+            want = {}
+            for I in combinations(range(1, n + 1), p):
+                want[BasisElement((), I)] = _ref_partial(f, y_sym(I))
+                for a in range(1, n + 1):
+                    want[BasisElement((a,), I)] = _ref_partial(f, pi_sym(a, I))
+            got = nabla(f, p, n)
+            assert dict(got.terms()) == {be: c for be, c in want.items() if c}
+
+
+def test_bracket_closed_form_matches_reference_scan():
+    rng = random.Random(71)
+    for n, p in ((2, 0), (3, 1), (4, 2)):
+        syms = _field_syms(n, p, ("y", "p"))
+        for _ in range(10):
+            g, f = _rand_poly(rng, syms, 4), _rand_poly(rng, syms, 4)
+            mu = rng.randint(1, n)
+            want = FieldPoly.zero()
+            for I in combinations(range(1, n + 1), p):
+                ys, ps = y_sym(I), p_sym(mu, I)
+                want = (want + _ref_mul(_ref_partial(g, ys), _ref_partial(f, ps))
+                        - _ref_mul(_ref_partial(f, ys), _ref_partial(g, ps)))
+            got = bracket_closed_form(g, f, mu, p, n)
+            assert got == want
+            _assert_canonical(got)

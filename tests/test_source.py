@@ -1,6 +1,7 @@
 """Properties of the source tree itself."""
 
 import ast
+import importlib.util
 import pathlib
 
 import dkpfields
@@ -16,3 +17,21 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every layer the benchmark traces names a function dkpfields still has.
+
+    A renamed or removed target (say FieldPoly.substitute) would otherwise
+    read as zero calls in a traced run instead of failing.
+    """
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        missing = tracer.install()
+    finally:
+        tracer.uninstall()
+    assert missing == []
