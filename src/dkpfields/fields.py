@@ -396,24 +396,17 @@ def _pow_into(out, powers, i, left, mono, coeff):
 
 
 def _gradient(f: FieldPoly):
-    """{symbol: df/dsymbol} for every symbol of f, in one pass over its terms."""
+    """{symbol: df/dsymbol} for every symbol of f, in one pass over its terms.
+
+    The symbols of a monomial are distinct, so two terms of f never give
+    the same term of one derivative, and no coefficient cancels.
+    """
     grad = {}
     for mono, c in f.terms.items():
         for i, (s, e) in enumerate(mono):
-            if e == 1:
-                m = mono[:i] + mono[i + 1 :]
-            else:
-                m = mono[:i] + ((s, e - 1),) + mono[i + 1 :]
-            d = grad.get(s)
-            if d is None:
-                d = grad[s] = {}
-            v = d.get(m)
-            v = c * e if v is None else v + c * e
-            if v:
-                d[m] = v
-            else:
-                del d[m]
-    return {s: FieldPoly._raw(d) for s, d in grad.items() if d}
+            m = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1 :]
+            grad.setdefault(s, {})[m] = c * e
+    return {s: FieldPoly._raw(d) for s, d in grad.items()}
 
 
 def _validate(f: FieldPoly, p, n, kinds):

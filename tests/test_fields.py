@@ -300,8 +300,6 @@ def test_dwh_inconsistent_frame_inverse_raises_under_O():
 
 def test_bracket_canonical_pairs():
     rng = random.Random(37)
-    from itertools import combinations
-
     for n in (1, 2, 3):
         frames = [FrameMap.identity(n), rand_frame(n, rng)]
         for p in range(0, min(n, 2) + 1):
@@ -371,8 +369,6 @@ def test_bracket_rank2_closed_form_shape():
     f = P(1, 1, 2) * Y(1, 3)
     got = bracket(g, f, 1, 2, lam, n)
     want = FieldPoly.zero()
-    from itertools import combinations
-
     for I in combinations(range(1, 4), 2):
         want = want + (
             g.partial(y_sym(I)) * f.partial(p_sym(1, I))
