@@ -8,8 +8,11 @@ at n = 3 with seed 0 over that metric and a dense frame, each with its exit
 code and full stdout.  Two more cases pin the polynomial kernel: a
 derive-dwh at n = 4, p = 1 whose H has cubic and quartic monomials with
 exponents 3 and 4, and a bracket at n = 4, p = 2 whose p -> pi frame
-substitution cancels monomials of F.  Refactors must leave every report unchanged.  After a deliberate change of report content, rewrite
-the fixture with
+substitution cancels monomials of F.  The last two use dense frames with
+non-integer entries in both L and L^-1: a derive-dwh at n = 3, p = 1 whose
+H coefficients share factors, and a bracket at n = 4, p = 1 of F = 3/2 G,
+whose value reduces to 0.  Refactors must leave every report unchanged.
+After a deliberate change of report content, rewrite the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 """
