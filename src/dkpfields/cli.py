@@ -13,17 +13,24 @@ group of verify --suite core.
 Reports are deterministic for a fixed seed and flag set; --format json
 emits a stable sorted-key document.  Exit codes: 0 pass, 1 check failure,
 2 usage error.
+
+One size policy holds for every subcommand: a request whose answer would
+be too large exits 2 before any work.  verify stops at VERIFY_MAX_N; dims
+prints n + 1 rows, and derive-dwh and bracket work over the (n + 1) C(n, p)
+keys of Z_(p), each at most the parser's MAX_TERMS.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from . import algebra as al
 from .dkp import FrameMap
 from .fields import RankError, bracket, bracket_closed_form, dwh_derive
-from .parser import ParseError, parse_expr
+from .parser import MAX_TERMS, ParseError, parse_expr
 from .subspaces import dim_zp
 from .suites import SUITE_NAMES, run_suites
 
@@ -35,6 +42,17 @@ class UsageError(ValueError):
 # verify --n 5 --suite all takes about 6 s on one core, and its suites grow
 # with the 4^n basis elements of G_n.
 VERIFY_MAX_N = 5
+
+
+def _check_size(n, p):
+    """UsageError when (n + 1) C(n, p) exceeds MAX_TERMS; C(n, 0) = 1 for dims."""
+    size = n + 1
+    if size <= MAX_TERMS:  # bounds the binomial that is computed
+        size *= comb(n, p)
+    if size > MAX_TERMS:
+        raise UsageError(
+            f"n={n}, p={p} asks for (n+1)*C(n,p) = {size} entries, above the cap {MAX_TERMS}"
+        )
 
 
 def _parse_matrix(text, n):
@@ -182,6 +200,7 @@ def _cmd_bracket(args, out):
     return 0 if agree else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dkpfields",
@@ -255,6 +274,8 @@ def main(argv=None):
         "bracket": _cmd_bracket,
     }
     try:
+        if args.command != "verify":
+            _check_size(args.n, p_rank)
         return handlers[args.command](args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,3 +218,61 @@ def test_readme_commands_run():
     for argv in commands:
         code, out = run_cli(argv)
         assert code == 0, (argv, out)
+
+
+def test_cached_parser_survives_a_usage_error():
+    """The parser is built once per process; a usage error leaves it reusable."""
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["derive-dwh", "--n", "2", "--no-such-option"])
+    assert exc.value.code == 2
+    golden = json.loads(pathlib.Path(__file__).with_name("golden_reports.json").read_text())
+    case = next(c for c in golden if c["argv"][0] == "bracket" and "--lambda" in " ".join(c["argv"]))
+    assert run_cli(case["argv"]) == (case["exit"], case["stdout"])
+
+
+class _Reached(Exception):
+    pass
+
+
+def _stub_work(monkeypatch):
+    """Every work function of dims, derive-dwh and bracket raises _Reached."""
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("_frame", "parse_expr", "dwh_derive", "bracket", "dim_zp"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+def test_size_policy_exits_2_before_any_work(monkeypatch, capsys):
+    _stub_work(monkeypatch)
+    over = [
+        ["derive-dwh", "--n", "30", "--p", "15", "--H", "1"],
+        ["bracket", "--n", "30", "--p", "15", "--G", "y[]", "--F", "y[]"],
+        ["dims", "--n", str(cli.MAX_TERMS)],
+    ]
+    for argv in over:
+        assert run_cli(argv) == (2, ""), argv
+        assert f"above the cap {cli.MAX_TERMS}" in capsys.readouterr().err
+    with pytest.raises(_Reached):
+        run_cli(["dims", "--n", str(cli.MAX_TERMS - 1)])
+
+
+def test_size_policy_bound_is_exact(monkeypatch, capsys):
+    """(n+1) C(n,p) = 30 at n = 4, p = 2: a cap of 29 rejects, a cap of 30 runs."""
+    _stub_work(monkeypatch)
+    argvs = [["derive-dwh", "--n", "4", "--p", "2", "--H", "1"],
+             ["bracket", "--n", "4", "--p", "2", "--G", "1", "--F", "1"]]
+    monkeypatch.setattr(cli, "MAX_TERMS", 29)
+    for argv in argvs:
+        assert run_cli(argv) == (2, "")
+        assert "= 30 entries, above the cap 29" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_TERMS", 30)
+    for argv in argvs:
+        with pytest.raises(_Reached):
+            run_cli(argv)
+    monkeypatch.setattr(cli, "MAX_TERMS", 4)
+    assert run_cli(["dims", "--n", "4"]) == (2, "")
+    monkeypatch.setattr(cli, "MAX_TERMS", 5)
+    with pytest.raises(_Reached):
+        run_cli(["dims", "--n", "4"])

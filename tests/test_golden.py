@@ -20,10 +20,14 @@ After a deliberate change of report content, rewrite the fixture with
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dkpfields
 from dkpfields.cli import main
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
@@ -42,6 +46,20 @@ def run_cli(argv):
 )
 def test_report_is_byte_identical(case):
     assert run_cli(case["argv"]) == (case["exit"], case["stdout"])
+
+
+def test_fresh_process_report_is_byte_identical():
+    """One golden through python -m dkpfields, the path a shell user takes."""
+    case = next(c for c in CASES if c["argv"][:3] == ["derive-dwh", "--n", "3"]
+                and "--lambda=1/2,1,2/3;1,-1/3,1;2,1,-3/2" in c["argv"])
+    src = str(pathlib.Path(dkpfields.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dkpfields", *case["argv"]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (done.returncode, done.stdout) == (case["exit"], case["stdout"]), done.stderr
 
 
 if __name__ == "__main__":
