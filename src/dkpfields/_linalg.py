@@ -34,8 +34,10 @@ def identity(n):
 
 
 def _integer_rows(m):
-    """(s * m as integer row lists, s) with s the lcm of the denominators of m."""
-    m = [[Fraction(x) for x in row] for row in m]
+    """(s * m as integer row lists, s) with s the lcm of the denominators of m.
+
+    The entries are ints or Fractions, read through numerator and denominator.
+    """
     scale = lcm(1, *(x.denominator for row in m for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
 

@@ -47,10 +47,10 @@ symmetrized double-bracket cyclic identity.
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from ._linalg import identity, mat_mul
+from ._linalg import _integer_rows
 from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract
 from .dkp import FrameMap, beta_mu
 
@@ -152,29 +152,34 @@ def symbol_poly(kind, idx, seq, n):
     sign, ix = canonicalize(seq, n)
     if sign == 0:
         return FieldPoly.zero()
-    sym = FieldSymbol(kind, tuple(idx), ix)
-    return FieldPoly({((sym, 1),): Fraction(sign)})
+    return FieldPoly._raw({((FieldSymbol(kind, tuple(idx), ix), 1),): sign})
 
 
 class FieldPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
     Monomials are tuples of (FieldSymbol, exponent) pairs sorted by
-    FieldSymbol.sort_key; the empty tuple is the constant monomial.  terms
-    maps monomials to nonzero coefficients.  The constructor sorts the
-    factors of each monomial it is given and adds up terms that then
-    coincide.  Immutable after construction.
+    FieldSymbol.sort_key; the empty tuple is the constant monomial.  A
+    polynomial is stored as int numerators over one int denominator,
+    num / den, in canonical form: every numerator is nonzero, den > 0 and
+    gcd(den, *numerators) = 1, so the zero polynomial has den 1.  Equality
+    and hashing read that form.  Immutable after construction.
 
-    One kernel does the arithmetic, at a cost that follows the terms it
-    touches.  _mul_into adds a product of two term dicts into a third; *,
-    substitute and bracket_closed_form accumulate through it, and ** expands
-    by the multinomial theorem through it.  _merge_monomials merges two
-    sorted factor lists in one pass.  _gradient reads every partial
-    derivative off one pass over the terms, for partial, nabla and
-    bracket_closed_form.
+    Fractions appear only at the boundary: the constructor takes
+    {monomial: Fraction or int}, sorts the factors of each monomial and
+    adds up terms that then coincide; .terms is the {monomial: Fraction}
+    view; str prints each coefficient as a reduced Fraction.
+
+    One kernel does the arithmetic, in ints.  _mul_into adds a product of
+    two numerator dicts into a third; *, substitute, bracket_closed_form and
+    the dwh_derive recombination accumulate through it, and ** expands by
+    the multinomial theorem through it.  _merge_monomials merges two sorted
+    factor lists in one pass.  _gradient reads every partial derivative off
+    one pass over the terms, for partial, nabla and bracket_closed_form.
+    Every result is brought to canonical form by _make.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
         clean = {}
@@ -189,11 +194,14 @@ class FieldPoly:
                     clean[mono] = c
                 else:
                     clean.pop(mono, None)
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(1, *(c.denominator for c in clean.values()))
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self.den = den
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._raw({})
 
     @classmethod
     def const(cls, c):
@@ -201,7 +209,12 @@ class FieldPoly:
 
     @classmethod
     def of(cls, sym: FieldSymbol):
-        return cls({((sym, 1),): Fraction(1)})
+        return cls._raw({((sym, 1),): 1})
+
+    @property
+    def terms(self):
+        """{monomial: Fraction coefficient}, without zeros."""
+        return {m: Fraction(c, self.den) for m, c in self.num.items()}
 
     # -- ring operations -------------------------------------------------
 
@@ -209,15 +222,20 @@ class FieldPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = lcm(self.den, other.den)
+        k1, k2 = den // self.den, den // other.den
+        out = dict(self.num) if k1 == 1 else {m: k1 * c for m, c in self.num.items()}
+        for m, c in other.num.items():
+            s = out.get(m, 0) + k2 * c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return FieldPoly._raw(out)
+                del out[m]
+        return FieldPoly._make(out, den)
 
     __radd__ = __add__
 
@@ -231,17 +249,17 @@ class FieldPoly:
         return self._lift(other) - self
 
     def __neg__(self):
-        return FieldPoly._raw({m: -c for m, c in self.terms.items()})
+        return FieldPoly._raw({m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
+            if not other:
                 return FieldPoly.zero()
-            return FieldPoly._raw({m: c * v for m, v in self.terms.items()})
+            return FieldPoly._make({m: other.numerator * v for m, v in self.num.items()},
+                                   other.denominator * self.den)
         if not isinstance(other, FieldPoly):
             return NotImplemented
-        return FieldPoly._raw(_mul_into({}, self.terms, other.terms))
+        return FieldPoly._make(_mul_into({}, self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -255,25 +273,28 @@ class FieldPoly:
             raise ValueError("negative power")
         if e == 0:
             return FieldPoly.const(1)
-        if e == 1 or not self.terms:
+        if e == 1 or not self.num:
             return self
         powers = [[((), 1), (m, c)] + [(tuple((s, x * k) for s, x in m), c**k)
                                        for k in range(2, e + 1)]
-                  for m, c in self.terms.items()]
-        return FieldPoly._raw(_pow_into({}, powers, 0, e, (), Fraction(1)))
+                  for m, c in self.num.items()]
+        return FieldPoly._make(_pow_into({}, powers, 0, e, (), 1), self.den**e)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
+
+    def __len__(self):
+        return len(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = FieldPoly.const(other)
         if not isinstance(other, FieldPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     @staticmethod
     def _lift(other):
@@ -284,10 +305,22 @@ class FieldPoly:
         return NotImplemented
 
     @classmethod
-    def _raw(cls, terms):
+    def _raw(cls, num, den=1):
+        """Wrap num / den, which must already be in canonical form."""
         poly = object.__new__(cls)
-        poly.terms = terms
+        poly.num = num
+        poly.den = den
         return poly
+
+    @classmethod
+    def _make(cls, num, den):
+        """num / den with nonzero numerators and den > 0, brought to canonical form."""
+        if den != 1:
+            g = gcd(den, *num.values())  # den itself when num is empty
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return cls._raw(num, den)
 
     # -- calculus ---------------------------------------------------------
 
@@ -295,36 +328,51 @@ class FieldPoly:
         """Formal partial derivative by a y/pi/p symbol."""
         if sym.kind in _DERIVATIVE_KINDS:
             raise KindError(f"cannot differentiate by derivative symbol {sym}")
-        return _gradient(self).get(sym, FieldPoly.zero())
+        return FieldPoly._make(_gradient(self).get(sym, {}), self.den)
 
     def substitute(self, mapping):
         """Replace symbols by polynomials; mapping: FieldSymbol -> FieldPoly.
 
-        Every monomial's product is accumulated into one term dict: factors
-        without a replacement stay in the monomial, and each replaced factor
-        is multiplied in through _mul_into.
+        A monomial whose replaced factors have denominators d_1 .. d_k gets
+        its numerator product over d_1 ... d_k; each is scaled to the lcm D of
+        those products over all monomials, so every product is accumulated
+        into one numerator dict over D times the denominator of self.
+        Factors without a replacement stay in the monomial, and each replaced
+        factor is multiplied in through _mul_into.
         """
+        rows = []
+        for mono, c in self.num.items():
+            kept, reps, den = [], [], 1
+            for s, e in mono:
+                rep = mapping.get(s)
+                if rep is None:
+                    kept.append((s, e))
+                else:
+                    rep = rep**e
+                    reps.append(rep.num)
+                    den *= rep.den
+            rows.append((tuple(kept), c, reps, den))
+        scale = lcm(1, *(den for *_, den in rows))
         out = {}
-        for mono, c in self.terms.items():
-            kept = tuple(f for f in mono if mapping.get(f[0]) is None)
-            reps = [mapping[s] ** e for s, e in mono if mapping.get(s) is not None]
-            prod = {kept: c}
+        for kept, c, reps, den in rows:
+            prod = {kept: c * (scale // den)}
             for rep in reps[:-1]:
-                prod = _mul_into({}, prod, rep.terms)
-            _mul_into(out, prod, reps[-1].terms if reps else _ONE)
-        return FieldPoly._raw(out)
+                prod = _mul_into({}, prod, rep)
+            _mul_into(out, prod, reps[-1] if reps else _ONE)
+        return FieldPoly._make(out, scale * self.den)
 
     def symbols(self):
-        return {s for mono in self.terms for s, _ in mono}
+        return {s for mono in self.num for s, _ in mono}
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for mono, c in sorted(
-            self.terms.items(), key=lambda t: tuple((s.sort_key(), e) for s, e in t[0])
+            self.num.items(), key=lambda t: tuple((s.sort_key(), e) for s, e in t[0])
         ):
-            factors = [str(c)]
+            g = gcd(c, self.den)  # the reduced Fraction c / den, as str(Fraction) writes it
+            factors = [f"{c // g}/{self.den // g}" if self.den != g else str(c // g)]
             for s, e in mono:
                 factors.append(f"{s}^{e}" if e > 1 else str(s))
             parts.append(" * ".join(factors))
@@ -357,18 +405,19 @@ def _merge_monomials(m1, m2):
     return (*out, *m1[i:], *m2[j:])
 
 
-_ONE = {(): Fraction(1)}
+_ONE = {(): 1}
 
 
 def _mul_into(out, t1, t2):
-    """Add the product of term dicts t1 and t2 into out; returns out.
+    """Add the product of numerator dicts t1 and t2 into out; returns out.
 
-    The one product loop of FieldPoly: a coefficient that cancels is
-    removed, so out keeps no zero coefficient.
+    The one product loop of FieldPoly, over ints: a coefficient that
+    cancels is removed, so out keeps no zero numerator.  The caller puts the
+    result over its denominator.
     """
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = _merge_monomials(m1, m2)
+            m = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
             s = out.get(m)
             s = c1 * c2 if s is None else s + c1 * c2
             if s:
@@ -381,7 +430,7 @@ def _mul_into(out, t1, t2):
 def _pow_into(out, powers, i, left, mono, coeff):
     """Add coeff * mono * (sum of the terms i, i+1, ...)**left into out.
 
-    powers[i][k] is term i to the k, as a (monomial, coefficient) pair.  Each
+    powers[i][k] is term i to the k, as a (monomial, int numerator) pair.  Each
     level picks the exponent k of one term, with weight C(left, k); the last
     term takes what is left, so every composition is visited once.
     """
@@ -396,17 +445,20 @@ def _pow_into(out, powers, i, left, mono, coeff):
 
 
 def _gradient(f: FieldPoly):
-    """{symbol: df/dsymbol} for every symbol of f, in one pass over its terms.
+    """{symbol: numerators of df/dsymbol over f.den} for every symbol of f,
+    in one pass over its terms.
 
     The symbols of a monomial are distinct, so two terms of f never give
-    the same term of one derivative, and no coefficient cancels.
+    the same term of one derivative, and no numerator cancels.  All
+    derivatives share the denominator of f, so products of derivatives of
+    two polynomials share one denominator too.
     """
     grad = {}
-    for mono, c in f.terms.items():
+    for mono, c in f.num.items():
         for i, (s, e) in enumerate(mono):
             m = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1 :]
             grad.setdefault(s, {})[m] = c * e
-    return {s: FieldPoly._raw(d) for s, d in grad.items()}
+    return grad
 
 
 def _validate(f: FieldPoly, p, n, kinds):
@@ -436,31 +488,42 @@ def nabla(f: FieldPoly, p, n) -> AlgebraElement:
     for I in _multi_indices(n, p):
         c = grad.get(FieldSymbol("y", (), I))
         if c:
-            terms[BasisElement((), I)] = c
+            terms[BasisElement((), I)] = FieldPoly._make(c, f.den)
         for a in range(1, n + 1):
             c = grad.get(FieldSymbol("pi", (a,), I))
             if c:
-                terms[BasisElement((a,), I)] = c
-    return AlgebraElement(n, terms)
+                terms[BasisElement((a,), I)] = FieldPoly._make(c, f.den)
+    return AlgebraElement._raw(n, terms)
 
 
 def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
     """Adjoint-placed derivative: nabla g with each key E(J,K) moved to E(K,J)."""
-    return AlgebraElement(n, {BasisElement(be.lower, be.upper): c
-                              for be, c in nabla(g, p, n).terms()})
+    return AlgebraElement._raw(n, {BasisElement(be.lower, be.upper): c
+                                   for be, c in nabla(g, p, n).terms()})
 
 
 # -- frame-map substitution ----------------------------------------------
 
 
-def _frame_subst(f: FieldPoly, kind, m, new_kind) -> FieldPoly:
-    """kind[a][I] -> sum_b m[a][b] new_kind[b][I]; m = L for p -> pi, L^-1 for pi -> p."""
-    mapping = {
-        sym: FieldPoly({((FieldSymbol(new_kind, (b,), sym.index), 1),): w
-                        for b, w in enumerate(m[sym.idx[0] - 1], start=1)})
-        for sym in f.symbols()
-        if sym.kind == kind
-    }
+def _frame_rows(rows, scale):
+    """The rows of m = rows / scale, each in lowest terms: (nonzero (b, numerator)
+    pairs, den) per row, for rows = s m, scale = s from _integer_rows."""
+    out = []
+    for row in rows:
+        g = gcd(scale, *row)
+        out.append(([(b, w // g) for b, w in enumerate(row, start=1) if w], scale // g))
+    return out
+
+
+def _frame_subst(f: FieldPoly, kind, frame, new_kind) -> FieldPoly:
+    """kind[a][I] -> sum_b m[a][b] new_kind[b][I], with m = L for p -> pi and
+    L^-1 for pi -> p, given by its _frame_rows."""
+    mapping = {}
+    for sym in f.symbols():
+        if sym.kind == kind:
+            pairs, den = frame[sym.idx[0] - 1]
+            mapping[sym] = FieldPoly._raw(
+                {((FieldSymbol(new_kind, (b,), sym.index), 1),): w for b, w in pairs}, den)
     return f.substitute(mapping) if mapping else f
 
 
@@ -537,28 +600,35 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     derivative side is sum_{mu,nu} (L L^-1)^mu_nu d[mu]p[nu][I], and
     sum_mu (L L^-1)^mu_nu d[mu]y[I] after recombining the E([c], I) keys
     with L^-1.  Raises ArithmeticError when L L^-1 != 1.
+
+    With L = A / s and L^-1 = B / t for integer matrices A, B, the check is
+    A B = s t I, and all of the work runs on int numerators.
     """
     _validate(h, p, n, ("y", "p", "pi"))
     if lam.n != n:
         raise RankError("frame map dimension must match n")
-    if mat_mul(lam.lam, lam.lam_inv) != identity(n):
+    (a, s), (b, t) = _integer_rows(lam.lam), _integer_rows(lam.lam_inv)
+    if any(sum(x * y for x, y in zip(row, col)) != (s * t if i == j else 0)
+           for i, row in enumerate(a) for j, col in enumerate(zip(*b))):
         raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
-    rhs_el = nabla(_frame_subst(h, "p", lam.lam, "pi"), p, n)
+    to_pi, to_p = _frame_rows(a, s), _frame_rows(b, t)
+    rhs_el = nabla(_frame_subst(h, "p", to_pi, "pi"), p, n)
 
     momentum = []
     field = []
     for I in _multi_indices(n, p):
-        lhs = FieldPoly({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
-        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", lam.lam_inv, "p")
+        lhs = FieldPoly._raw({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
+        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", to_p, "p")
         momentum.append((I, lhs, rhs))
         by_c = [_coefficient(rhs_el, BasisElement((c,), I)) for c in range(1, n + 1)]
+        den = lcm(*(q.den for q in by_c))
         for nu in range(1, n + 1):
+            # sum_c L^-1[c][nu] by_c[c] = sum_c b[c][nu] (den / den_c) num_c / (den t)
             rhs_nu = {}
-            for c in range(1, n + 1):
-                w = lam.lam_inv[c - 1][nu - 1]
-                if w:
-                    _mul_into(rhs_nu, {(): w}, by_c[c - 1].terms)
-            rhs_nu = _frame_subst(FieldPoly._raw(rhs_nu), "pi", lam.lam_inv, "p")
+            for row, q in zip(b, by_c):
+                if row[nu - 1] and q:
+                    _mul_into(rhs_nu, {(): row[nu - 1] * (den // q.den)}, q.num)
+            rhs_nu = _frame_subst(FieldPoly._make(rhs_nu, den * t), "pi", to_p, "p")
             field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs_nu))
     return DwhEquations(n, p, momentum, field)
 
@@ -576,11 +646,12 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    left = nabla_adjoint(_frame_subst(g, "p", lam.lam, "pi"), p, n)
-    right = nabla(_frame_subst(f, "p", lam.lam, "pi"), p, n)
+    to_pi = _frame_rows(*_integer_rows(lam.lam))
+    left = nabla_adjoint(_frame_subst(g, "p", to_pi, "pi"), p, n)
+    right = nabla(_frame_subst(f, "p", to_pi, "pi"), p, n)
     beta = beta_mu(lam, mu, "lower_neg", n)
     c = _coefficient(contract(left * beta * right, p), BasisElement((), ()))
-    return _frame_subst(c, "pi", lam.lam_inv, "p")
+    return _frame_subst(c, "pi", _frame_rows(*_integer_rows(lam.lam_inv)), "p")
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
@@ -592,10 +663,10 @@ def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
     for I in _multi_indices(n, p):
         ys, ps = FieldSymbol("y", (), I), FieldSymbol("p", (mu,), I)
         if ys in dg and ps in df:
-            _mul_into(out, dg[ys].terms, df[ps].terms)
+            _mul_into(out, dg[ys], df[ps])
         if ys in df and ps in dg:
-            _mul_into(out, (-df[ys]).terms, dg[ps].terms)
-    return FieldPoly._raw(out)
+            _mul_into(out, {m: -c for m, c in df[ys].items()}, dg[ps])
+    return FieldPoly._make(out, g.den * f.den)
 
 
 def check_leibniz(g, f, k, mu, p, lam, n):

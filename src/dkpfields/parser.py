@@ -109,7 +109,7 @@ class _Parser:
         while self.peek()[1] == "*":
             pos = self.next()[2]
             rhs = self.factor()
-            _check_terms(len(poly.terms) * len(rhs.terms), pos)
+            _check_terms(len(poly) * len(rhs), pos)
             poly = poly * rhs
         return poly
 
@@ -120,7 +120,7 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", pos)
-            e, t = int(text), len(poly.terms)
+            e, t = int(text), len(poly)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
             # a t-term polynomial to the e has at most C(e + t - 1, e) terms

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from dkpfields.fields import (
     nabla_adjoint,
     p_sym,
     pi_sym,
+    _gradient,
     symbol_poly,
     y_sym,
 )
@@ -465,11 +467,14 @@ def test_dwh_equations_type():
 
 # -- kernel against the reference bodies ---------------------------------------
 #
-# The bodies below are the earlier FieldPoly kernel, kept as the reference:
-# a product that sorts every merged monomial, a power by repeated
-# multiplication, a partial derivative that scans every term for one symbol,
-# and a substitution that adds one product per monomial to a copied
-# accumulator.
+# The bodies below compute with Fraction coefficients on plain
+# {monomial: Fraction} dicts, the form FieldPoly had before it stored int
+# numerators over one denominator.  They never call the FieldPoly kernel:
+# they read .terms, and the kernel's results are compared through .terms.
+# They are the earlier kernel, kept as the reference: a product that sorts
+# every merged monomial, a power by repeated multiplication, a partial
+# derivative that scans every term for one symbol, and a substitution that
+# adds one product per monomial.
 
 
 def _ref_merge(m1, m2):
@@ -479,17 +484,28 @@ def _ref_merge(m1, m2):
     return tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
 
 
+def _ref_clean(d):
+    return {m: c for m, c in d.items() if c}
+
+
+def _ref_add(a, b, k=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + k * c
+    return _ref_clean(out)
+
+
 def _ref_mul(a, b):
     out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             m = _ref_merge(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
-    return FieldPoly(out)
+    return _ref_clean(out)
 
 
 def _ref_pow(a, e):
-    out = FieldPoly.const(1)
+    out = {(): Fraction(1)}
     for _ in range(e):
         out = _ref_mul(out, a)
     return out
@@ -497,33 +513,33 @@ def _ref_pow(a, e):
 
 def _ref_partial(f, sym):
     out = {}
-    for mono, c in f.terms.items():
+    for mono, c in f.items():
         for i, (s, e) in enumerate(mono):
             if s == sym:
                 m = mono[:i] + (((s, e - 1),) if e > 1 else ()) + mono[i + 1 :]
                 out[m] = out.get(m, 0) + c * e
                 break
-    return FieldPoly(out)
+    return _ref_clean(out)
 
 
 def _ref_substitute(f, mapping):
-    out = FieldPoly.zero()
-    for mono, c in f.terms.items():
-        prod = FieldPoly.const(c)
+    out = {}
+    for mono, c in f.items():
+        prod = {(): c}
         for sym, e in mono:
             rep = mapping.get(sym)
-            prod = _ref_mul(prod, _ref_pow(rep if rep is not None else FieldPoly.of(sym), e))
-        out = out + prod
+            prod = _ref_mul(prod, _ref_pow(rep if rep is not None else {((sym, 1),): 1}, e))
+        out = _ref_add(out, prod)
     return out
 
 
-def _rand_poly(rng, syms, nterms, max_e=3):
+def _rand_poly(rng, syms, nterms, max_e=3, max_den=6):
     """Random polynomial over syms; a monomial with no factor is the constant."""
     terms = {}
     for _ in range(nterms):
         exps = {s: rng.randint(1, max_e) for s in rng.sample(syms, rng.randint(0, 3))}
         mono = tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
-        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
     return FieldPoly(terms)
 
 
@@ -538,12 +554,33 @@ def _field_syms(n, p, kinds):
 
 
 def _assert_canonical(f):
-    """Sorted monomials of distinct symbols, positive exponents, no zero coefficient."""
-    for mono, c in f.terms.items():
-        assert isinstance(c, Fraction) and c != 0
+    """int numerators over one denominator: nonzero numerators, den > 0,
+    gcd(den, *numerators) = 1; sorted monomials of distinct symbols."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c != 0 for c in f.num.values())
+    assert gcd(f.den, *f.num.values()) == 1
+    for mono in f.num:
         keys = [s.sort_key() for s, _ in mono]
         assert keys == sorted(set(keys))
         assert all(e >= 1 for _, e in mono)
+
+
+def test_sum_scaling_and_negation_match_reference():
+    rng = random.Random(47)
+    syms = _field_syms(2, 1, ("y", "p"))
+    for _ in range(60):
+        a, b = _rand_poly(rng, syms, 4), _rand_poly(rng, syms, 3)
+        k = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        for got, want in (
+            (a + b, _ref_add(a.terms, b.terms)),
+            (a - b, _ref_add(a.terms, b.terms, -1)),
+            (a + b - b, a.terms),
+            (-a, _ref_add({}, a.terms, -1)),
+            (k * a, _ref_mul({(): k}, a.terms)),
+            (a * k.numerator, _ref_mul({(): Fraction(k.numerator)}, a.terms)),
+        ):
+            assert got.terms == want
+            _assert_canonical(got)
 
 
 def test_product_power_and_partial_match_reference():
@@ -551,11 +588,15 @@ def test_product_power_and_partial_match_reference():
     syms = _field_syms(3, 1, ("y", "pi", "p"))
     for _ in range(40):
         a, b = _rand_poly(rng, syms, 4), _rand_poly(rng, syms, 3)
-        assert a * b == _ref_mul(a, b)
+        assert (a * b).terms == _ref_mul(a.terms, b.terms)
         _assert_canonical(a * b)
+        grad = _gradient(a)
         for s in syms:  # symbols of a and symbols a lacks alike
-            assert a.partial(s) == _ref_partial(a, s)
+            want = _ref_partial(a.terms, s)
+            assert a.partial(s).terms == want
             _assert_canonical(a.partial(s))
+            # _gradient keeps every derivative over the denominator of a
+            assert {m: Fraction(c, a.den) for m, c in grad.get(s, {}).items()} == want
 
 
 def test_power_matches_repeated_multiplication():
@@ -565,7 +606,7 @@ def test_power_matches_repeated_multiplication():
         a = _rand_poly(rng, syms, rng.randint(0, 4), max_e=2)
         for e in range(9):
             got = a**e
-            assert got == _ref_pow(a, e)
+            assert got.terms == _ref_pow(a.terms, e)
             _assert_canonical(got)
 
 
@@ -577,11 +618,12 @@ def test_substitute_matches_reference():
     for _ in range(40):
         f = _rand_poly(rng, syms, 5)
         # some symbols of f are mapped (to constants and to zero as well),
-        # the rest are missing from the mapping and stay
-        mapping = {s: _rand_poly(rng, targets, rng.randint(0, 3), max_e=2)
-                   for s in rng.sample(syms, 3)}
+        # the rest are missing from the mapping and stay; each replacement
+        # has its own denominator
+        mapping = {s: Fraction(1, d) * _rand_poly(rng, targets, rng.randint(0, 3), max_e=2)
+                   for s, d in zip(rng.sample(syms, 3), (2, 9, 35))}
         got = f.substitute(mapping)
-        assert got == _ref_substitute(f, mapping)
+        assert got.terms == _ref_substitute(f.terms, {s: r.terms for s, r in mapping.items()})
         _assert_canonical(got)
 
 
@@ -591,8 +633,9 @@ def test_substitute_cancellation_stores_no_zero():
     f = (P(1, 1) - P(2, 1)) * Y(1) ** 2 + Y(2) ** 3
     got = f.substitute(mapping)
     assert got.terms == {((y_sym((2,)), 3),): Fraction(1)}
-    assert got == _ref_substitute(f, mapping)
+    assert got.terms == _ref_substitute(f.terms, {s: r.terms for s, r in mapping.items()})
     assert (P(1, 1) - P(2, 1)).substitute(mapping).terms == {}
+    _assert_canonical((P(1, 1) - P(2, 1)).substitute(mapping))
 
 
 def test_nabla_matches_reference_scan():
@@ -603,11 +646,13 @@ def test_nabla_matches_reference_scan():
             f = _rand_poly(rng, syms, 5)
             want = {}
             for I in combinations(range(1, n + 1), p):
-                want[BasisElement((), I)] = _ref_partial(f, y_sym(I))
+                want[BasisElement((), I)] = _ref_partial(f.terms, y_sym(I))
                 for a in range(1, n + 1):
-                    want[BasisElement((a,), I)] = _ref_partial(f, pi_sym(a, I))
+                    want[BasisElement((a,), I)] = _ref_partial(f.terms, pi_sym(a, I))
             got = nabla(f, p, n)
-            assert dict(got.terms()) == {be: c for be, c in want.items() if c}
+            assert {be: c.terms for be, c in got.terms()} == {be: c for be, c in want.items() if c}
+            for _, c in got.terms():
+                _assert_canonical(c)
 
 
 def test_bracket_closed_form_matches_reference_scan():
@@ -617,11 +662,33 @@ def test_bracket_closed_form_matches_reference_scan():
         for _ in range(10):
             g, f = _rand_poly(rng, syms, 4), _rand_poly(rng, syms, 4)
             mu = rng.randint(1, n)
-            want = FieldPoly.zero()
+            want = {}
             for I in combinations(range(1, n + 1), p):
                 ys, ps = y_sym(I), p_sym(mu, I)
-                want = (want + _ref_mul(_ref_partial(g, ys), _ref_partial(f, ps))
-                        - _ref_mul(_ref_partial(f, ys), _ref_partial(g, ps)))
+                want = _ref_add(want, _ref_mul(_ref_partial(g.terms, ys), _ref_partial(f.terms, ps)))
+                want = _ref_add(want, _ref_mul(_ref_partial(f.terms, ys), _ref_partial(g.terms, ps)), -1)
             got = bracket_closed_form(g, f, mu, p, n)
-            assert got == want
+            assert got.terms == want
             _assert_canonical(got)
+
+
+def test_equal_polynomials_by_different_routes_hash_equal():
+    x, y = Y(1), P(2, 1)
+    half = Fraction(1, 2)
+    routes = [
+        (x * half * 2, x),
+        (half * x + half * x, x),
+        (Fraction(1, 3) * x + Fraction(1, 6) * x, half * x),
+        (FieldPoly({((y_sym((1,)), 1),): Fraction(2, 4)}), half * x),
+        ((3 * x + 6 * y) * Fraction(1, 3), x + 2 * y),
+        (((x + y) * half) ** 2 * 4, x**2 + 2 * x * y + y**2),
+        (half * x - half * x, FieldPoly.zero()),
+        ((Fraction(2, 3) * x) * (Fraction(3, 4) * y), half * x * y),
+    ]
+    for a, b in routes:
+        assert a == b and hash(a) == hash(b), (a, b)
+        _assert_canonical(a)
+    assert FieldPoly.zero().den == 1 and (half * x - half * x).den == 1
+    assert half * x == half * x and half * x != x
+    assert FieldPoly.const(Fraction(3, 6)) == half and FieldPoly.const(4) == 4
+    assert str(Fraction(2, 3) * x * 3 + Fraction(-6, 4) * y) == "2 * y[1] + -3/2 * p[2][1]"
