@@ -467,7 +467,7 @@ def _validate(f: FieldPoly, p, n, kinds):
             raise RankError(f"symbol {s} of kind {s.kind!r} not allowed here")
         if len(s.index) != p:
             raise RankError(f"symbol {s} has rank {len(s.index)}, expected {p}")
-        if any(x > n for x in s.index) or any(x > n for x in s.idx):
+        if max(s.idx + s.index, default=0) > n:
             raise RankError(f"symbol {s} has an index outside 1..{n}")
 
 
@@ -505,25 +505,29 @@ def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
 # -- frame-map substitution ----------------------------------------------
 
 
-def _frame_rows(rows, scale):
-    """The rows of m = rows / scale, each in lowest terms: (nonzero (b, numerator)
-    pairs, den) per row, for rows = s m, scale = s from _integer_rows."""
+def _frame_rows(m):
+    """Each row of the Fraction matrix m as (nonzero (b, numerator) pairs, den),
+    over den = the lcm of the row's denominators, so in lowest terms."""
     out = []
-    for row in rows:
-        g = gcd(scale, *row)
-        out.append(([(b, w // g) for b, w in enumerate(row, start=1) if w], scale // g))
+    for row in m:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        out.append(([(b, x * (den // d)) for b, (x, d) in enumerate(ratios, start=1) if x], den))
     return out
 
 
 def _frame_subst(f: FieldPoly, kind, frame, new_kind) -> FieldPoly:
     """kind[a][I] -> sum_b m[a][b] new_kind[b][I], with m = L for p -> pi and
     L^-1 for pi -> p, given by its _frame_rows."""
-    mapping = {}
+    mapping, targets = {}, {}  # targets: I -> the monomials new_kind[b][I], b = 1..n
     for sym in f.symbols():
         if sym.kind == kind:
+            monos = targets.get(sym.index)
+            if monos is None:
+                monos = targets[sym.index] = [((FieldSymbol(new_kind, (b,), sym.index), 1),)
+                                              for b in range(1, len(frame) + 1)]
             pairs, den = frame[sym.idx[0] - 1]
-            mapping[sym] = FieldPoly._raw(
-                {((FieldSymbol(new_kind, (b,), sym.index), 1),): w for b, w in pairs}, den)
+            mapping[sym] = FieldPoly._raw({monos[b - 1]: w for b, w in pairs}, den)
     return f.substitute(mapping) if mapping else f
 
 
@@ -611,7 +615,7 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     if any(sum(x * y for x, y in zip(row, col)) != (s * t if i == j else 0)
            for i, row in enumerate(a) for j, col in enumerate(zip(*b))):
         raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
-    to_pi, to_p = _frame_rows(a, s), _frame_rows(b, t)
+    to_pi, to_p = _frame_rows(lam.lam), _frame_rows(lam.lam_inv)
     rhs_el = nabla(_frame_subst(h, "p", to_pi, "pi"), p, n)
 
     momentum = []
@@ -646,12 +650,12 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    to_pi = _frame_rows(*_integer_rows(lam.lam))
+    to_pi = _frame_rows(lam.lam)
     left = nabla_adjoint(_frame_subst(g, "p", to_pi, "pi"), p, n)
     right = nabla(_frame_subst(f, "p", to_pi, "pi"), p, n)
     beta = beta_mu(lam, mu, "lower_neg", n)
     c = _coefficient(contract(left * beta * right, p), BasisElement((), ()))
-    return _frame_subst(c, "pi", _frame_rows(*_integer_rows(lam.lam_inv)), "p")
+    return _frame_subst(c, "pi", _frame_rows(lam.lam_inv), "p")
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:

@@ -154,6 +154,8 @@ def test_nabla_rank_validation():
         nabla(P(1, 1), 1, 2)  # polymomenta not allowed inside nabla
     with pytest.raises(RankError):
         nabla(Y(3), 1, 2)  # index beyond n
+    with pytest.raises(RankError):
+        nabla(PI(3, 1), 1, 2)  # leading index beyond n
 
 
 def test_nabla_adjoint_keys():
