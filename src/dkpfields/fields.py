@@ -14,6 +14,14 @@ Polymomenta and frame momenta are related through an invertible frame map
 L by p[mu][I] = L^mu_c pi[c][I].  The Latin metric is Euclidean
 throughout, so raised and lowered field indices coincide.
 
+A FieldPoly stores int numerators over one positive int denominator, in
+lowest terms (the content/primitive-part form of Geddes, Czapor and
+Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Products, powers,
+substitutions, derivatives and the frame maps all run in ints: each row
+of L and L^-1 is read once per call as int numerators over its own
+denominator.  Fractions appear only where a polynomial is built from
+rational coefficients, in the .terms view, and in str.
+
 The DWH equations are read off nabla H.  Their left-hand sides are fixed
 by construction: in y/p symbols the derivative side of each equation is
 contracted with L L^-1, so it is sum_mu d[mu]p[mu][I] or d[nu]y[I] when
