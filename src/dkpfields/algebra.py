@@ -142,6 +142,9 @@ def _coerce(c):
     return c
 
 
+_ZERO = Fraction(0)  # Fractions are immutable: one shared default for coefficient()
+
+
 class AlgebraElement:
     """Sparse exact linear combination of basis elements of G_n.
 
@@ -172,7 +175,7 @@ class AlgebraElement:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
     def coefficient(self, be):
-        return self._terms.get(be, Fraction(0))
+        return self._terms.get(be, _ZERO)
 
     def support(self):
         return frozenset(self._terms)

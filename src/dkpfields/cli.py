@@ -32,7 +32,7 @@ from .dkp import FrameMap
 from .fields import RankError, bracket, bracket_closed_form, dwh_derive
 from .parser import MAX_TERMS, ParseError, parse_expr
 from .subspaces import dim_zp
-from .suites import SUITE_NAMES, run_suites
+from .suites import FRAME_MAX_N, SUITE_NAMES, run_suites
 
 
 class UsageError(ValueError):
@@ -114,6 +114,10 @@ def _cmd_verify(args, out):
     if args.n > VERIFY_MAX_N:
         raise UsageError(
             f"verify runs for n <= {VERIFY_MAX_N} only; its suites grow with the 4^n basis elements"
+        )
+    if args.lam != "identity" and args.n > FRAME_MAX_N:
+        raise UsageError(
+            f"verify takes --lambda for n <= {FRAME_MAX_N} only; its frame groups run at that size"
         )
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     metric = _metric(args) if args.metric != "identity" else None

@@ -1,22 +1,29 @@
-"""Named identity-check suites with seeded randomness.
+"""The registry of exact identity-check groups, with seeded random draws.
 
-Every suite returns a list of Check groups; each group counts individual
-exact comparisons.  All randomness flows from one random.Random instance,
-so a fixed seed reproduces the identical report byte for byte.
+Each identity has one body here: a function registered under its report
+name `suite/group` with its default sweep size (draws, frames or metrics).
+Every group fills Check objects, each counting exact comparisons.
+
+Two routes run the same bodies:
+
+- `run_suites`, behind `dkpfields verify`, walks REGISTRY in order with one
+  random.Random, so a fixed seed reproduces the identical report byte for
+  byte;
+- tests/test_acceptance.py runs single groups through GROUPS[name].run at
+  its own n range, seed and sweep size.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from . import algebra as al
 from . import dkp, fock, subspaces
 from . import fields as fl
 from ._linalg import identity as ident_rows
 from ._linalg import invert, mat_mul
-
-SUITE_NAMES = ("core", "dkp", "subspaces", "bracket")
 
 
 class Check:
@@ -140,52 +147,95 @@ def _basis_vectors(n):
     return [tuple(Fraction(int(k == i)) for k in range(1, n + 1)) for i in range(1, n + 1)]
 
 
+# -- the registry ------------------------------------------------------------
+
+# The frame groups (dkp frame relation, bracket) run at m = min(n, FRAME_MAX_N).
+FRAME_MAX_N = 3
+
+
+class Group(NamedTuple):
+    """One registry entry: the Checks `names`, filled by one body.
+
+    The body is called as body(*checks, n, rng, size, metric=..., lam=...);
+    `size` is its sweep (draws, frames or metrics), `max_n` the largest n at
+    which `verify` runs it.
+    """
+
+    names: tuple
+    body: Callable
+    size: int | None
+    max_n: int | None
+
+    @property
+    def suite(self):
+        return self.names[0].split("/")[0]
+
+    def run(self, n, rng, size=None, metric=None, lam=None):
+        """Fresh Checks for `names` at n, with the default sweep unless `size` is given."""
+        checks = [Check(name) for name in self.names]
+        self.body(*checks, n, rng, self.size if size is None else size, metric=metric, lam=lam)
+        return checks
+
+
+REGISTRY = []  # filled once at import, in report order
+
+
+def _group(*names, size=None, max_n=None):
+    def register(body):
+        REGISTRY.append(Group(names, body, size, max_n))
+        return body
+
+    return register
+
+
 # -- core suite --------------------------------------------------------------
 
 
-def suite_core(n, rng, metric=None):
-    checks = []
-
-    c = Check("core/canonicalization")
+@_group("core/canonicalization")
+def _canonicalization(c, n, rng, size, **_):
     c.ok(al.canonicalize((2, 1), 3) == (-1, (1, 2)))
     c.ok(al.canonicalize((1, 1), 3) == (0, ()))
     c.ok(al.canonicalize((3, 1, 2), 3) == (1, (1, 2, 3)))
     c.ok(al.gen_delta((1, 2), (1, 2)) == 1)
     c.ok(al.gen_delta((2, 1), (1, 2)) == -1)
     c.ok(al.gen_delta((1, 3), (1, 2)) == 0)
-    checks.append(c)
 
-    c = Check("core/basis count")
+
+@_group("core/basis count")
+def _basis_count(c, n, rng, size, **_):
     c.ok(len(al.basis_elements(n)) == 4**n)
-    checks.append(c)
 
+
+@_group("core/clifford relations")
+def _clifford(c, n, rng, size, **_):
     vs = [al.embed_vector(v, n) for v in _basis_vectors(n)]
     cs = [al.embed_covector(a, n) for a in _basis_vectors(n)]
     u = al.unit(n)
-
-    c = Check("core/clifford relations")
     for i in range(n):
         for j in range(n):
             c.ok((vs[i] * vs[j] + vs[j] * vs[i]).is_zero, f"vv {i + 1},{j + 1}")
             c.ok((cs[i] * cs[j] + cs[j] * cs[i]).is_zero, f"cc {i + 1},{j + 1}")
             want = u if i == j else al.zero(n)
             c.ok(vs[i] * cs[j] + cs[j] * vs[i] == want, f"vc {i + 1},{j + 1}")
-    checks.append(c)
 
-    c = Check("core/zero divisors of the idempotent")
+
+@_group("core/zero divisors of the idempotent", size=25)
+def _zero_divisors(c, n, rng, size, **_):
     pp = al.projector_p(n)
-    for _ in range(25):
+    for _ in range(size):
         c.ok((al.embed_vector(rand_vector(n, rng), n) * pp).is_zero)
         c.ok((pp * al.embed_covector(rand_vector(n, rng), n)).is_zero)
-    checks.append(c)
 
-    c = Check("core/associativity")
-    for _ in range(200):
+
+@_group("core/associativity", size=200)
+def _associativity(c, n, rng, size, **_):
+    for _ in range(size):
         x, y, z = (rand_element(n, rng) for _ in range(3))
         c.ok((x * y) * z == x * (y * z), lambda: f"residual {(x * y) * z - x * (y * z)}")
-    checks.append(c)
 
-    c = Check("core/projector algebra")
+
+@_group("core/projector algebra", size=10)
+def _projectors(c, n, rng, size, **_):
     pis = [al.projector_pi(p, n) for p in range(n + 1)]
     total = al.zero(n)
     for p, pi_p in enumerate(pis):
@@ -194,17 +244,18 @@ def suite_core(n, rng, metric=None):
         for q, pi_q in enumerate(pis):
             if p != q:
                 c.ok((pi_p * pi_q).is_zero, f"orthogonal {p},{q}")
-    c.ok(total == u, "sum is unit")
+    c.ok(total == al.unit(n), "sum is unit")
 
     def pi_or_zero(p):
         return pis[p] if 0 <= p <= n else al.zero(n)
 
-    for _ in range(10):
+    for _ in range(size):
         a = al.embed_covector(rand_vector(n, rng), n)
         v = al.embed_vector(rand_vector(n, rng), n)
         for p in range(-1, n + 2):
             c.ok(a * pi_or_zero(p) == pi_or_zero(p + 1) * a, f"slide cov p={p}")
             c.ok(pi_or_zero(p) * v == v * pi_or_zero(p + 1), f"slide vec p={p}")
+    pp = al.projector_p(n)
     imgs = {
         t
         for be in al.basis_elements(n)
@@ -213,33 +264,34 @@ def suite_core(n, rng, metric=None):
     }
     c.ok(len(imgs) == 2**n, "left ideal size")
     c.ok(all(next(iter(t.support())).lower == () for t in imgs), "left ideal support")
-    checks.append(c)
 
-    if n <= 3:
-        c = Check("core/representation oracle")
-        bes = al.basis_elements(n)
-        singles = {be: al.single(n, be.upper, be.lower) for be in bes}
-        reps = {be: fock.represent(singles[be]) for be in bes}
-        c.ok(len(set(reps.values())) == len(bes), "faithful on basis")
-        for b1 in bes:
-            r1 = reps[b1]
-            for b2 in bes:
-                c.ok(fock.represent(singles[b1] * singles[b2]) == r1 @ reps[b2])
-        for _ in range(50):
-            x, y = rand_element(n, rng), rand_element(n, rng)
-            c.ok(fock.represent(x * y) == fock.represent(x) @ fock.represent(y))
-        c.ok(fock.represent(u) == fock.DenseOperator.identity(n), "unit is identity")
-        pvac = fock.represent(pp)
-        c.ok(
-            pvac.rows[0][0] == 1
-            and sum(1 for row in pvac.rows for x in row if x) == 1,
-            "vacuum projector",
-        )
-        checks.append(c)
 
-    c = Check("core/adjunction")
+@_group("core/representation oracle", size=50, max_n=3)
+def _representation(c, n, rng, size, **_):
+    bes = al.basis_elements(n)
+    singles = {be: al.single(n, be.upper, be.lower) for be in bes}
+    reps = {be: fock.represent(singles[be]) for be in bes}
+    c.ok(len(set(reps.values())) == len(bes), "faithful on basis")
+    for b1 in bes:
+        r1 = reps[b1]
+        for b2 in bes:
+            c.ok(fock.represent(singles[b1] * singles[b2]) == r1 @ reps[b2])
+    for _ in range(size):
+        x, y = rand_element(n, rng), rand_element(n, rng)
+        c.ok(fock.represent(x * y) == fock.represent(x) @ fock.represent(y))
+    c.ok(fock.represent(al.unit(n)) == fock.DenseOperator.identity(n), "unit is identity")
+    pvac = fock.represent(al.projector_p(n))
+    c.ok(
+        pvac.rows[0][0] == 1
+        and sum(1 for row in pvac.rows for x in row if x) == 1,
+        "vacuum projector",
+    )
+
+
+@_group("core/adjunction", size=25)
+def _adjunction(c, n, rng, size, metric=None, **_):
     g = metric if metric is not None else rand_metric(n, rng)
-    for _ in range(25):
+    for _ in range(size):
         x, y = rand_element(n, rng), rand_element(n, rng)
         c.ok(al.adjoint(al.adjoint(x, g), g) == x, "involution")
         c.ok(al.adjoint(x * y, g) == al.adjoint(y, g) * al.adjoint(x, g), "antihom")
@@ -251,9 +303,10 @@ def suite_core(n, rng, metric=None):
                 fock.represent(al.adjoint(x, delta)) == fock.represent(x).transpose(),
                 "transpose oracle",
             )
-    checks.append(c)
 
-    c = Check("core/contraction")
+
+@_group("core/contraction")
+def _contraction(c, n, rng, size, **_):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             want = al.projector_p(n) if i == j else al.zero(n)
@@ -263,9 +316,10 @@ def suite_core(n, rng, metric=None):
             w = al.basis_word(n, (k, t), (a, b))
             got = al.contract(w, 2) if not w.is_zero else al.zero(n)
             c.ok(got == al.gen_delta((k, t), (b, a)) * al.projector_p(n), f"{k}{t}|{a}{b}")
-    checks.append(c)
 
-    c = Check("core/embedding goldens")
+
+@_group("core/embedding goldens")
+def _embedding_goldens(c, n, rng, size, **_):
     c.ok(al.embed_vector((1,), 1) == al.single(1, (), (1,)))
     c.ok(al.embed_covector((1,), 1) == al.single(1, (1,), ()))
     if n >= 2:
@@ -273,47 +327,40 @@ def suite_core(n, rng, metric=None):
         c.ok(al.embed_vector((1, 0), 2) == want, "e_1 at n=2")
         want = al.single(2, (1,), ()) + al.single(2, (1, 2), (2,))
         c.ok(al.embed_covector((1, 0), 2) == want, "e^1 at n=2")
-    checks.append(c)
-    return checks
 
 
 # -- dkp suite ---------------------------------------------------------------
 
 
-def suite_dkp(n, rng, metric=None):
-    checks = []
-    basis_cov = _basis_vectors(n)
-
-    def argset(family):
-        if family in ("b_upper", "b_upper_neg", "b_lower_neg"):
-            return basis_cov
-        return list(range(1, n + 1))
-
-    c = Check("dkp/trilinear relations")
+@_group("dkp/trilinear relations", size=3)
+def _trilinear(c, n, rng, size, metric=None, **_):
     metrics = [al.Metric.euclidean(n)]
     if metric is not None:
         metrics.append(metric)
-    metrics += [rand_metric(n, rng) for _ in range(3)]
+    metrics += [rand_metric(n, rng) for _ in range(size)]
     for g in metrics:
         for family in dkp.FAMILIES:
-            args = argset(family)
+            args = _basis_vectors(n) if family.startswith("b_") else range(1, n + 1)
             for trip in product(args, repeat=3):
                 r = dkp.check_trilinear(family, trip, g)
                 c.ok(r.is_zero, lambda: f"{family} residual {r}")
-    checks.append(c)
 
-    c = Check("dkp/unit")
+
+@_group("dkp/unit")
+def _dkp_unit(c, n, rng, size, **_):
     un = dkp.dkp_unit(n)
     g = al.Metric.euclidean(n)
     c.ok(un * un == un, "idempotent")
-    for i in range(1, n + 1):
+    for i, a in enumerate(_basis_vectors(n), start=1):
         b = dkp.make_generator("beta_lower", i, g)
         c.ok(un * b == b and b * un == b, f"identity on beta_{i}")
-        bu = dkp.make_generator("b_upper_neg", basis_cov[i - 1], g)
+        bu = dkp.make_generator("b_upper_neg", a, g)
         c.ok(un * bu == bu, f"identity on b^{i}")
-    checks.append(c)
 
-    c = Check("dkp/sign flip duality")
+
+@_group("dkp/sign flip duality")
+def _sign_flip(c, n, rng, size, **_):
+    basis_cov = _basis_vectors(n)
     g = rand_metric(n, rng)
     ng = al.Metric([[-x for x in row] for row in g.g])
     for i, a in enumerate(basis_cov, start=1):
@@ -326,18 +373,21 @@ def suite_dkp(n, rng, metric=None):
         args = tuple(basis_cov[i - 1] for i in trip)
         c.ok(dkp.check_trilinear("b_upper", args, ng) == dkp.check_trilinear("b_upper_neg", args, g))
         c.ok(dkp.check_trilinear("beta_lower", trip, ng) == dkp.check_trilinear("beta_lower_neg", trip, g))
-    checks.append(c)
 
-    m = min(n, 3)
-    c = Check("dkp/frame relation, orthonormal frames")
-    frames = [dkp.FrameMap.identity(m)] + [rand_orthogonal_frame(m, rng) for _ in range(5)]
+
+@_group("dkp/frame relation, orthonormal frames", size=5)
+def _frame_orthonormal(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    frames = [dkp.FrameMap.identity(m)] + [rand_orthogonal_frame(m, rng) for _ in range(size)]
     for lam in frames:
         for mu, nu, ga in product(range(1, m + 1), repeat=3):
             c.ok(dkp.ndkc_residual(lam, mu, nu, ga).is_zero)
-    checks.append(c)
 
-    c = Check("dkp/frame relation, generic frames (induced metric)")
-    for _ in range(5):
+
+@_group("dkp/frame relation, generic frames (induced metric)", size=5)
+def _frame_generic(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    for _ in range(size):
         lam = rand_frame(m, rng)
         for mu, nu, ga in product(range(1, m + 1), repeat=3):
             c.ok(dkp.ndkc_induced_residual(lam, mu, nu, ga).is_zero)
@@ -346,34 +396,28 @@ def suite_dkp(n, rng, metric=None):
         shear = dkp.FrameMap(shear_rows)
         # the plain delta form is NOT frame-covariant: pin the counterexample
         c.ok(not dkp.ndkc_residual(shear, 1, 1, 1).is_zero, "delta form must fail for a shear")
-    checks.append(c)
-    return checks
 
 
 # -- subspaces suite ---------------------------------------------------------
 
 
-def suite_subspaces(n, rng):
-    checks = []
-
-    c = Check("subspaces/dimension formula")
-    for m in range(1, 7):
+@_group("subspaces/dimension formula", size=6)
+def _dimensions(c, n, rng, size, **_):
+    for m in range(1, size + 1):
         for p in range(m + 1):
             c.ok(subspaces.dim_zp(m, p) == len(subspaces.zp_basis(m, p)), f"n={m} p={p}")
-    checks.append(c)
 
-    c = Check("subspaces/closure under the covector family")
+
+# One entry for two Checks: the action formula reuses the closure's metric draw.
+@_group("subspaces/closure under the covector family", "subspaces/action formula", size=25)
+def _covector_action(closure, action, n, rng, size, **_):
     g = rand_metric(n, rng)
     for p in range(n + 1):
-        for _ in range(25):
+        for _ in range(size):
             alpha = rand_vector(n, rng)
             z = rand_zp_element(n, p, rng)
             gen = dkp.make_generator("b_upper_neg", alpha, g)
-            out = subspaces.act_dkp(gen, z, p)
-            c.ok(subspaces.in_zp(out, n, p))
-    checks.append(c)
-
-    c = Check("subspaces/action formula")
+            closure.ok(subspaces.in_zp(subspaces.act_dkp(gen, z, p), n, p))
     for p in range(n + 1):
         for _ in range(10):
             alpha = rand_vector(n, rng)
@@ -383,37 +427,39 @@ def suite_subspaces(n, rng):
             z = p_i + al.embed_covector(gamma, n) * p_i
             gen = dkp.make_generator("b_upper_neg", alpha, g)
             want = al.embed_covector(alpha, n) * p_i - g.pair_inv(alpha, gamma) * p_i
-            c.ok(subspaces.act_dkp(gen, z, p) == want)
-    checks.append(c)
+            action.ok(subspaces.act_dkp(gen, z, p) == want)
 
-    c = Check("subspaces/unit acts as identity")
+
+@_group("subspaces/unit acts as identity", size=10)
+def _subspace_unit(c, n, rng, size, **_):
     un = dkp.dkp_unit(n)
     for p in range(n + 1):
-        for _ in range(10):
+        for _ in range(size):
             z = rand_zp_element(n, p, rng)
             c.ok(un * z == z)
-    checks.append(c)
-    return checks
 
 
 # -- bracket suite -------------------------------------------------------------
 
 
-def suite_bracket(n, rng, lam=None):
-    checks = []
-    m = min(n, 3)
-    ranks = range(0, min(m, 2) + 1)
+def _ranks(m):
+    return range(0, min(m, 2) + 1)
 
-    def frames():
-        base = [dkp.FrameMap.identity(m)]
-        if lam is not None and lam.n == m:
-            base.append(lam)
-        base.append(rand_frame(m, rng))
-        return base
 
-    c = Check("bracket/word route equals closed form")
-    for p in ranks:
-        for _ in range(25):
+def _frames(m, rng, lam):
+    """Identity, the given frame if any, and one random frame."""
+    base = [dkp.FrameMap.identity(m)]
+    if lam is not None:
+        base.append(lam)
+    base.append(rand_frame(m, rng))
+    return base
+
+
+@_group("bracket/word route equals closed form", size=25)
+def _closed_form(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        for _ in range(size):
             fr = rand_frame(m, rng)
             g1 = rand_field_poly(m, p, rng)
             f1 = rand_field_poly(m, p, rng)
@@ -422,11 +468,13 @@ def suite_bracket(n, rng, lam=None):
                 fl.bracket(g1, f1, mu, p, fr, m)
                 == fl.bracket_closed_form(g1, f1, mu, p, m)
             )
-    checks.append(c)
 
-    c = Check("bracket/canonical pairs")
-    for p in ranks:
-        for fr in frames():
+
+@_group("bracket/canonical pairs")
+def _canonical_pairs(c, n, rng, size, lam=None, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        for fr in _frames(m, rng, lam):
             for I in combinations(range(1, m + 1), p):
                 for J in combinations(range(1, m + 1), p):
                     for mu in range(1, m + 1):
@@ -444,61 +492,72 @@ def suite_bracket(n, rng, lam=None):
                             )
                             == 0
                         )
-    checks.append(c)
 
-    c = Check("bracket/antisymmetry")
-    for p in ranks:
-        for _ in range(25):
+
+@_group("bracket/antisymmetry", size=25)
+def _antisymmetry(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        for _ in range(size):
             fr = rand_frame(m, rng)
             g1, f1 = rand_field_poly(m, p, rng), rand_field_poly(m, p, rng)
             mu = rng.randint(1, m)
             c.ok(fl.bracket(g1, f1, mu, p, fr, m) + fl.bracket(f1, g1, mu, p, fr, m) == 0)
-    checks.append(c)
 
-    c = Check("bracket/leibniz rule")
-    for p in ranks:
-        for _ in range(10):
+
+@_group("bracket/leibniz rule", size=10)
+def _leibniz(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        for _ in range(size):
             fr = rand_frame(m, rng)
             g1, f1, k1 = (rand_field_poly(m, p, rng) for _ in range(3))
             c.ok(fl.check_leibniz(g1, f1, k1, rng.randint(1, m), p, fr, m) == 0)
-    checks.append(c)
 
-    c = Check("bracket/symmetrized jacobi identity")
-    for p in ranks:
-        for fr in frames():
-            for _ in range(5):
+
+@_group("bracket/symmetrized jacobi identity", size=5)
+def _jacobi(c, n, rng, size, lam=None, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        for fr in _frames(m, rng, lam):
+            for _ in range(size):
                 g1, f1, k1 = (rand_field_poly(m, p, rng, deg=2) for _ in range(3))
                 mu, nu = rng.randint(1, m), rng.randint(1, m)
                 c.ok(fl.check_jacobi_sym(g1, f1, k1, mu, nu, p, fr, m) == 0)
-    checks.append(c)
 
-    c = Check("bracket/field equations frame invariance")
-    for p in ranks:
-        h = rand_field_poly(m, p, rng, nterms=4, deg=2)
-        base = fl.dwh_derive(h, p, dkp.FrameMap.identity(m), m)
-        for _ in range(3):
-            c.ok(fl.dwh_derive(h, p, rand_frame(m, rng), m) == base)
-        for I, _lhs, rhs in base.momentum:
-            c.ok(rhs == -h.partial(fl.y_sym(I)), "momentum rhs")
-        for (mu, I), _lhs, rhs in base.field:
-            c.ok(rhs == h.partial(fl.p_sym(mu, I)), "field rhs")
-    checks.append(c)
-    return checks
+
+def check_field_equations(c, h, p, n, rng, frames):
+    """H's DWH equations: the same under `frames` random frames, rhs -dH/dy and dH/dp."""
+    base = fl.dwh_derive(h, p, dkp.FrameMap.identity(n), n)
+    for _ in range(frames):
+        c.ok(fl.dwh_derive(h, p, rand_frame(n, rng), n) == base)
+    for I, _lhs, rhs in base.momentum:
+        c.ok(rhs == -h.partial(fl.y_sym(I)), "momentum rhs")
+    for (mu, I), _lhs, rhs in base.field:
+        c.ok(rhs == h.partial(fl.p_sym(mu, I)), "field rhs")
+
+
+@_group("bracket/field equations frame invariance", size=3)
+def _field_equations(c, n, rng, size, **_):
+    m = min(n, FRAME_MAX_N)
+    for p in _ranks(m):
+        check_field_equations(c, rand_field_poly(m, p, rng, nterms=4, deg=2), p, m, rng, size)
+
+
+GROUPS = {name: group for group in REGISTRY for name in group.names}
+SUITE_NAMES = tuple(dict.fromkeys(group.suite for group in REGISTRY))
 
 
 def run_suites(names, n, seed, metric=None, lam=None):
     """Run the given suites with one seeded generator; deterministic order."""
-    rng = random.Random(seed)
-    out = []
     for name in names:
-        if name == "core":
-            out.extend(suite_core(n, rng, metric))
-        elif name == "dkp":
-            out.extend(suite_dkp(n, rng, metric))
-        elif name == "subspaces":
-            out.extend(suite_subspaces(n, rng))
-        elif name == "bracket":
-            out.extend(suite_bracket(n, rng, lam))
-        else:
+        if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")
-    return out
+    rng = random.Random(seed)
+    return [
+        check
+        for name in names
+        for group in REGISTRY
+        if group.suite == name and (group.max_n is None or n <= group.max_n)
+        for check in group.run(n, rng, metric=metric, lam=lam)
+    ]

@@ -5,6 +5,37 @@ and a wall-clock budget, printing one line per criterion; run with
 
     pytest tests/test_acceptance.py -v -s
 
+The criteria run the registered check groups of dkpfields.suites, the same
+bodies `dkpfields verify` runs, at their own n range, seed and sweep size:
+
+- 1: core/representation oracle, n <= 3;
+- 2: core/clifford relations, n <= 4;
+- 3: core/projector algebra and core/zero divisors of the idempotent,
+  10 draws each, n <= 4;
+- 4: dkp/trilinear relations over the Euclidean and 20 random metrics, n <= 4;
+- 5: both dkp/frame relation groups, 20 frames each, n <= 3;
+- 6: subspaces/dimension formula, n <= 6;
+- 7: subspaces/closure under the covector family, 100 draws per rank, with
+  the action formula that shares its metric draw, n <= 4;
+- 8: bracket/field equations frame invariance, n = 2, 3;
+- 9: bracket/word route equals closed form, 200 pairs per rank, and
+  bracket/canonical pairs, n <= 3;
+- 10: bracket/antisymmetry, leibniz rule and symmetrized jacobi identity,
+  25, 13 and 7 draws per rank, n <= 3;
+- 11: core/contraction, n = 3.
+
+What stays here is independent of those bodies, so that a fault the group
+shares with its own inputs or expected values still shows:
+
+- criterion 1's dense elements, with every basis element present, where
+  the group draws elements of at most 4 terms;
+- criterion 8's full generic quadratic H, one more input to the group's
+  field-equation check;
+- criterion 11's integer form of the rank-2 contraction, written without
+  gen_delta;
+- criterion 12, the command line and the parser;
+- the strict expected failure below and its counterexample.
+
 Criterion 5 is split: the triple relation for the frame-mapped operators
 holds exactly on orthonormal frames and in induced-metric form on all
 invertible frames (both verified here), but its literal delta form over
@@ -24,34 +55,10 @@ import pytest
 
 from dkpfields import algebra as al
 from dkpfields import fock
-from dkpfields.dkp import (
-    FAMILIES,
-    FrameMap,
-    check_trilinear,
-    make_generator,
-    ndkc_induced_residual,
-    ndkc_residual,
-)
-from dkpfields.fields import (
-    FieldPoly,
-    bracket,
-    bracket_closed_form,
-    check_jacobi_sym,
-    check_leibniz,
-    dwh_derive,
-    p_sym,
-    y_sym,
-)
+from dkpfields.dkp import ndkc_residual
+from dkpfields.fields import FieldPoly, p_sym, y_sym
 from dkpfields.parser import parse_expr
-from dkpfields.subspaces import act_dkp, dim_zp, in_zp, zp_basis
-from dkpfields.suites import (
-    rand_field_poly,
-    rand_frame,
-    rand_metric,
-    rand_orthogonal_frame,
-    rand_vector,
-    rand_zp_element,
-)
+from dkpfields.suites import GROUPS, Check, check_field_equations, rand_frame
 
 
 def report(num, name, detail, dt, budget):
@@ -59,8 +66,14 @@ def report(num, name, detail, dt, budget):
     assert dt < budget, f"criterion {num} exceeded its {budget}s budget ({dt:.2f}s)"
 
 
-def basis_vec(i, n):
-    return tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+def run_group(rng, ns, name, size=None):
+    """Run the registered group `name` at each n in ns; its check count."""
+    checked = 0
+    for n in ns:
+        for check in GROUPS[name].run(n, rng, size):
+            assert check.passed, f"{check.name} at n={n}: {check.detail}"
+            checked += check.run
+    return checked
 
 
 def dense_element(n, rng):
@@ -73,19 +86,11 @@ def dense_element(n, rng):
 
 
 def test_criterion_01_oracle_equivalence():
-    """represent(a*b) == represent(a) @ represent(b), all basis pairs + random."""
+    """represent(a*b) == represent(a) @ represent(b): all basis pairs, random and dense pairs."""
     rng = random.Random(101)
     t0 = time.perf_counter()
-    checked = 0
+    checked = run_group(rng, (1, 2, 3), "core/representation oracle")
     for n in (1, 2, 3):
-        bes = al.basis_elements(n)
-        singles = {be: al.single(n, be.upper, be.lower) for be in bes}
-        reps = {be: fock.represent(singles[be]) for be in bes}
-        for b1 in bes:
-            r1 = reps[b1]
-            for b2 in bes:
-                assert fock.represent(singles[b1] * singles[b2]) == r1 @ reps[b2]
-                checked += 1
         for _ in range(200):
             x, y = dense_element(n, rng), dense_element(n, rng)
             assert fock.represent(x * y) == fock.represent(x) @ fock.represent(y)
@@ -95,68 +100,23 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_clifford_relations():
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3, 4):
-        u = al.unit(n)
-        vs = [al.embed_vector(basis_vec(i, n), n) for i in range(1, n + 1)]
-        cs = [al.embed_covector(basis_vec(i, n), n) for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(n):
-                assert (vs[i] * vs[j] + vs[j] * vs[i]).is_zero
-                assert (cs[i] * cs[j] + cs[j] * cs[i]).is_zero
-                want = u if i == j else al.zero(n)
-                assert vs[i] * cs[j] + cs[j] * vs[i] == want
-                checked += 3
+    checked = run_group(random.Random(102), (1, 2, 3, 4), "core/clifford relations")
     report(2, "clifford relations", f"{checked} identities, n<=4", time.perf_counter() - t0, 1)
 
 
 def test_criterion_03_projector_suite():
     rng = random.Random(103)
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3, 4):
-        u = al.unit(n)
-        pis = [al.projector_pi(p, n) for p in range(n + 1)]
-        total = al.zero(n)
-        for p, pi_p in enumerate(pis):
-            total = total + pi_p
-            for q, pi_q in enumerate(pis):
-                want = pi_p if p == q else al.zero(n)
-                assert pi_p * pi_q == want
-                checked += 1
-        assert total == u
-        checked += 1
-
-        def pi(p):
-            return pis[p] if 0 <= p <= n else al.zero(n)
-
-        pp = al.projector_p(n)
-        for _ in range(10):
-            a = al.embed_covector(rand_vector(n, rng), n)
-            v = al.embed_vector(rand_vector(n, rng), n)
-            for p in range(-1, n + 2):
-                assert a * pi(p) == pi(p + 1) * a
-                assert pi(p) * v == v * pi(p + 1)
-                checked += 2
-            assert (v * pp).is_zero and (pp * a).is_zero
-            checked += 2
+    checked = sum(
+        run_group(rng, (1, 2, 3, 4), name, 10)
+        for name in ("core/projector algebra", "core/zero divisors of the idempotent")
+    )
     report(3, "projector suite", f"{checked} identities, n<=4", time.perf_counter() - t0, 1)
 
 
 def test_criterion_04_dkp_trilinear():
-    rng = random.Random(104)
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3, 4):
-        metrics = [al.Metric.euclidean(n)] + [rand_metric(n, rng) for _ in range(20)]
-        covs = [basis_vec(i, n) for i in range(1, n + 1)]
-        idxs = list(range(1, n + 1))
-        for g in metrics:
-            for family in FAMILIES:
-                args = covs if family.startswith("b_") else idxs
-                for trip in product(args, repeat=3):
-                    assert check_trilinear(family, trip, g).is_zero
-                    checked += 1
+    checked = run_group(random.Random(104), (1, 2, 3, 4), "dkp/trilinear relations", 20)
     report(4, "dkp trilinear relations",
            f"{checked} residuals, 5 families, 21 metrics, n<=4",
            time.perf_counter() - t0, 30)
@@ -166,18 +126,11 @@ def test_criterion_05_frame_relation():
     """Delta form on orthonormal frames; induced form on 20 generic frames."""
     rng = random.Random(105)
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3):
-        frames = [FrameMap.identity(n)] + [rand_orthogonal_frame(n, rng) for _ in range(20)]
-        for lam in frames:
-            for mu, nu, ga in product(range(1, n + 1), repeat=3):
-                assert ndkc_residual(lam, mu, nu, ga).is_zero
-                checked += 1
-        for _ in range(20):
-            lam = rand_frame(n, rng)
-            for mu, nu, ga in product(range(1, n + 1), repeat=3):
-                assert ndkc_induced_residual(lam, mu, nu, ga).is_zero
-                checked += 1
+    checked = sum(
+        run_group(rng, (1, 2, 3), name, 20)
+        for name in ("dkp/frame relation, orthonormal frames",
+                     "dkp/frame relation, generic frames (induced metric)")
+    )
     report(5, "k-symplectic frame relation",
            f"{checked} residuals: delta form on 21 orthonormal frames,"
            " induced form on 20 generic frames, n<=3",
@@ -216,27 +169,14 @@ def test_criterion_05_literal_delta_form_generic_frames():
 
 def test_criterion_06_subspace_dimensions():
     t0 = time.perf_counter()
-    checked = 0
-    for n in range(1, 7):
-        for p in range(n + 1):
-            assert dim_zp(n, p) == len(zp_basis(n, p))
-            checked += 1
+    checked = run_group(random.Random(106), (6,), "subspaces/dimension formula")
     report(6, "subspace dimensions", f"{checked} (n,p) pairs, n<=6", time.perf_counter() - t0, 1)
 
 
 def test_criterion_07_closure():
-    rng = random.Random(107)
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3, 4):
-        g = rand_metric(n, rng)
-        for p in range(n + 1):
-            for _ in range(100):
-                alpha = rand_vector(n, rng)
-                z = rand_zp_element(n, p, rng)
-                gen = make_generator("b_upper_neg", alpha, g)
-                assert in_zp(act_dkp(gen, z, p), n, p)
-                checked += 1
+    checked = run_group(random.Random(107), (1, 2, 3, 4),
+                        "subspaces/closure under the covector family", 100)
     report(7, "invariant subspace closure", f"{checked} random actions, n<=4",
            time.perf_counter() - t0, 5)
 
@@ -264,20 +204,13 @@ def _generic_quadratic(n, p, rng):
 def test_criterion_08_field_equation_derivation():
     rng = random.Random(108)
     t0 = time.perf_counter()
-    checked = 0
+    checked = run_group(rng, (2, 3), "bracket/field equations frame invariance")
     for n in (2, 3):
         for p in (0, 1, 2):
-            h = _generic_quadratic(n, p, rng)
-            base = dwh_derive(h, p, FrameMap.identity(n), n)
-            for I, lhs, rhs in base.momentum:
-                assert rhs == -h.partial(y_sym(I))
-            for (mu, I), lhs, rhs in base.field:
-                assert rhs == h.partial(p_sym(mu, I))
-            checked += len(base.momentum) + len(base.field)
-            for _ in range(3):
-                lam = rand_frame(n, rng)
-                assert dwh_derive(h, p, lam, n) == base
-                checked += 1
+            check = Check("generic quadratic H")
+            check_field_equations(check, _generic_quadratic(n, p, rng), p, n, rng, 3)
+            assert check.passed, f"n={n} p={p}: {check.detail}"
+            checked += check.run
     report(8, "field equation derivation",
            f"{checked} equations/frames, p<=2, generic quadratic H",
            time.perf_counter() - t0, 5)
@@ -286,24 +219,8 @@ def test_criterion_08_field_equation_derivation():
 def test_criterion_09_bracket_closed_form():
     rng = random.Random(109)
     t0 = time.perf_counter()
-    checked = 0
-    for n in (1, 2, 3):
-        for p in range(0, min(n, 2) + 1):
-            for _ in range(200):
-                lam = rand_frame(n, rng)
-                g = rand_field_poly(n, p, rng)
-                f = rand_field_poly(n, p, rng)
-                mu = rng.randint(1, n)
-                assert bracket(g, f, mu, p, lam, n) == bracket_closed_form(g, f, mu, p, n)
-                checked += 1
-            lam = rand_frame(n, rng)
-            for I in combinations(range(1, n + 1), p):
-                for J in combinations(range(1, n + 1), p):
-                    for mu in range(1, n + 1):
-                        got = bracket(FieldPoly.of(y_sym(I)), FieldPoly.of(p_sym(mu, J)),
-                                      mu, p, lam, n)
-                        assert got == (1 if I == J else 0)
-                        checked += 1
+    checked = run_group(rng, (1, 2, 3), "bracket/word route equals closed form", 200)
+    checked += run_group(rng, (1, 2, 3), "bracket/canonical pairs")
     report(9, "bracket closed form",
            f"{checked} brackets, 200 random pairs per (n<=3, p<=2) + canonical pairs",
            time.perf_counter() - t0, 30)
@@ -312,26 +229,9 @@ def test_criterion_09_bracket_closed_form():
 def test_criterion_10_bracket_identities():
     rng = random.Random(110)
     t0 = time.perf_counter()
-    grid = [(n, p) for n in (1, 2, 3) for p in range(0, min(n, 2) + 1)]
-    anti = leib = jac = 0
-    for n, p in grid:
-        for _ in range(25):
-            lam = rand_frame(n, rng)
-            g, f = rand_field_poly(n, p, rng), rand_field_poly(n, p, rng)
-            mu = rng.randint(1, n)
-            assert bracket(g, f, mu, p, lam, n) + bracket(f, g, mu, p, lam, n) == 0
-            anti += 1
-        for _ in range(13):
-            lam = rand_frame(n, rng)
-            g, f, k = (rand_field_poly(n, p, rng) for _ in range(3))
-            assert check_leibniz(g, f, k, rng.randint(1, n), p, lam, n) == 0
-            leib += 1
-        for _ in range(7):
-            g, f, k = (rand_field_poly(n, p, rng, deg=2) for _ in range(3))
-            mu, nu = rng.randint(1, n), rng.randint(1, n)
-            for lam in (FrameMap.identity(n), rand_frame(n, rng)):
-                assert check_jacobi_sym(g, f, k, mu, nu, p, lam, n) == 0
-            jac += 1
+    anti = run_group(rng, (1, 2, 3), "bracket/antisymmetry", 25)
+    leib = run_group(rng, (1, 2, 3), "bracket/leibniz rule", 13)
+    jac = run_group(rng, (1, 2, 3), "bracket/symmetrized jacobi identity", 7) // 2
     assert anti >= 200 and leib >= 100 and jac >= 50
     report(10, "bracket identities",
            f"antisymmetry {anti}, leibniz {leib}, jacobi {jac} x 2 frames",
@@ -341,12 +241,7 @@ def test_criterion_10_bracket_identities():
 def test_criterion_11_contraction_anchors():
     t0 = time.perf_counter()
     n = 3
-    checked = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            want = al.projector_p(n) if i == j else al.zero(n)
-            assert al.contract(al.single(n, (i,), (j,)), 1) == want
-            checked += 1
+    checked = run_group(random.Random(111), (n,), "core/contraction")
     for k, t, a, b in product(range(1, n + 1), repeat=4):
         w = al.basis_word(n, (k, t), (a, b))
         got = al.contract(w, 2) if not w.is_zero else al.zero(n)

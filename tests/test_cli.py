@@ -9,9 +9,11 @@ import subprocess
 import sys
 
 import pytest
+import test_acceptance
 
 import dkpfields
-from dkpfields import cli
+from dkpfields import algebra as al
+from dkpfields import cli, dkp
 from dkpfields.cli import main
 from dkpfields.fields import FieldPoly
 
@@ -276,3 +278,28 @@ def test_size_policy_bound_is_exact(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_TERMS", 5)
     with pytest.raises(_Reached):
         run_cli(["dims", "--n", "4"])
+
+
+def test_verify_lambda_above_frame_size_exits_2(monkeypatch, capsys):
+    """Above n = 3 the bracket groups would ignore --lambda, so verify refuses it."""
+    def no_suites(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    lam = "2,1,0,0;0,1,0,0;0,0,1,1;1,0,0,1"
+    assert run_cli(["verify", "--n", "4", "--suite", "bracket", "--lambda", lam]) == (2, "")
+    assert "--lambda for n <= 3" in capsys.readouterr().err
+    with pytest.raises(_Reached):
+        run_cli(["verify", "--n", "4", "--suite", "bracket", "--lambda", "identity"])
+    with pytest.raises(_Reached):
+        run_cli(["verify", "--n", "3", "--suite", "bracket", "--lambda", "2,1,0;0,1,0;0,0,1"])
+
+
+def test_one_group_body_fails_verify_and_acceptance(monkeypatch):
+    """verify and the acceptance criteria run the same registered group body."""
+    monkeypatch.setattr(dkp, "ndkc_induced_residual", lambda lam, *idx: al.unit(lam.n))
+    code, out = run_cli(["verify", "--n", "2", "--suite", "dkp", "--seed", "42"])
+    assert code == 1
+    assert "FAIL dkp/frame relation, generic frames (induced metric)" in out
+    with pytest.raises(AssertionError, match="generic frames"):
+        test_acceptance.test_criterion_05_frame_relation()

@@ -3,8 +3,10 @@
 import ast
 import importlib.util
 import pathlib
+import re
 
 import dkpfields
+from dkpfields import suites
 
 
 def test_no_assert_statements_in_src():
@@ -35,3 +37,13 @@ def test_benchmark_trace_targets_resolve():
     finally:
         tracer.uninstall()
     assert missing == []
+
+
+def test_registry_names_are_unique_and_cover_every_suite():
+    """Each check name is suite/group, once; each suite has a group; --suite keeps its values."""
+    names = [name for group in suites.REGISTRY for name in group.names]
+    assert len(names) == len(set(names))
+    assert all(re.fullmatch(r"[a-z]+/[^/]+", name) for name in names)
+    assert all(name.startswith(group.suite + "/") for group in suites.REGISTRY for name in group.names)
+    assert suites.SUITE_NAMES == ("core", "dkp", "subspaces", "bracket")
+    assert all(any(g.suite == s for g in suites.REGISTRY) for s in suites.SUITE_NAMES)
