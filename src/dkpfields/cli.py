@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import comb
 
 from . import algebra as al
@@ -32,7 +31,6 @@ from .dkp import FrameMap
 from .fields import RankError, bracket, bracket_closed_form, dwh_derive
 from .parser import MAX_TERMS, ParseError, parse_expr
 from .subspaces import dim_zp
-from .suites import FRAME_MAX_N, SUITE_NAMES, run_suites
 
 
 class UsageError(ValueError):
@@ -56,16 +54,13 @@ def _check_size(n, p):
 
 
 def _parse_matrix(text, n):
+    """Entry strings of an n x n matrix; Metric and FrameMap read each entry
+    as one Fraction."""
     if text == "identity":
         from ._linalg import identity
 
         return identity(n)
-    rows = []
-    for chunk in text.split(";"):
-        try:
-            rows.append([Fraction(x.strip()) for x in chunk.split(",")])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad matrix entry in {chunk!r}: {exc}") from exc
+    rows = [chunk.split(",") for chunk in text.split(";")]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise UsageError(f"matrix must be {n}x{n}")
     return rows
@@ -74,14 +69,14 @@ def _parse_matrix(text, n):
 def _metric(args):
     try:
         return al.Metric(_parse_matrix(args.metric, args.n))
-    except (al.SingularMatrixError, ValueError) as exc:
+    except (al.SingularMatrixError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid metric: {exc}") from exc
 
 
 def _frame(args):
     try:
         return FrameMap(_parse_matrix(args.lam, args.n))
-    except (al.SingularMatrixError, ValueError) as exc:
+    except (al.SingularMatrixError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid frame map: {exc}") from exc
 
 
@@ -111,6 +106,12 @@ def _emit(report, fmt, out):
 
 
 def _cmd_verify(args, out):
+    from .suites import FRAME_MAX_N, SUITE_NAMES, run_suites  # only verify loads the suites
+
+    if args.suite != "all" and args.suite not in SUITE_NAMES:
+        raise UsageError(
+            f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)} or all"
+        )
     if args.n > VERIFY_MAX_N:
         raise UsageError(
             f"verify runs for n <= {VERIFY_MAX_N} only; its suites grow with the 4^n basis elements"
@@ -220,7 +221,8 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="run exact identity suites")
     common(pv, with_p=False)
-    pv.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    pv.add_argument("--suite", default="all",
+                    help="'all' or one suite: core, dkp, subspaces, bracket")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--metric", default="identity",
                     help="'identity' or row-major rationals 'a,b;c,d'")

@@ -17,10 +17,10 @@ throughout, so raised and lowered field indices coincide.
 A FieldPoly stores int numerators over one positive int denominator, in
 lowest terms (the content/primitive-part form of Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Products, powers,
-substitutions, derivatives and the frame maps all run in ints: each row
-of L and L^-1 is read once per call as int numerators over its own
-denominator.  Fractions appear only where a polynomial is built from
-rational coefficients, in the .terms view, and in str.
+substitutions, derivatives and the frame maps all run in ints: each of
+L and L^-1 is read once per call, by _linalg._integer_rows, as int rows
+over one denominator.  Fractions appear only where a polynomial is built
+from rational coefficients, in the .terms view, and in str.
 
 The DWH equations are read off nabla H.  Their left-hand sides are fixed
 by construction: in y/p symbols the derivative side of each equation is
@@ -513,29 +513,19 @@ def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
 # -- frame-map substitution ----------------------------------------------
 
 
-def _frame_rows(m):
-    """Each row of the Fraction matrix m as (nonzero (b, numerator) pairs, den),
-    over den = the lcm of the row's denominators, so in lowest terms."""
-    out = []
-    for row in m:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        out.append(([(b, x * (den // d)) for b, (x, d) in enumerate(ratios, start=1) if x], den))
-    return out
-
-
 def _frame_subst(f: FieldPoly, kind, frame, new_kind) -> FieldPoly:
     """kind[a][I] -> sum_b m[a][b] new_kind[b][I], with m = L for p -> pi and
-    L^-1 for pi -> p, given by its _frame_rows."""
+    L^-1 for pi -> p, given as the (int rows, den) pair of _integer_rows."""
+    rows, den = frame
     mapping, targets = {}, {}  # targets: I -> the monomials new_kind[b][I], b = 1..n
     for sym in f.symbols():
         if sym.kind == kind:
             monos = targets.get(sym.index)
             if monos is None:
                 monos = targets[sym.index] = [((FieldSymbol(new_kind, (b,), sym.index), 1),)
-                                              for b in range(1, len(frame) + 1)]
-            pairs, den = frame[sym.idx[0] - 1]
-            mapping[sym] = FieldPoly._raw({monos[b - 1]: w for b, w in pairs}, den)
+                                              for b in range(1, len(rows) + 1)]
+            mapping[sym] = FieldPoly._make(
+                {m: w for m, w in zip(monos, rows[sym.idx[0] - 1]) if w}, den)
     return f.substitute(mapping) if mapping else f
 
 
@@ -598,23 +588,23 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     """Derive the covariant Hamiltonian equations for rank-p fields.
 
     h may be written in y/p symbols (polymomenta are substituted through the
-    frame map internally) or directly in y/pi symbols.  The derivation
-    equates, key by key, the coefficients of
+    frame map internally) or directly in y/pi symbols.  The equations are
+    normalized to y/p symbols, so the output does not depend on the frame
+    map.
 
-        beta^mu d_mu Psi_(p)   and   nabla H,
-
-    where Psi_(p) carries formal derivative symbols, and then normalizes
-    the resulting equations to y/p symbols so the output does not depend on
-    the frame map.
-
-    The right-hand sides come from the E([], I) and E([c], I) coefficients
-    of nabla H.  The left-hand sides are written down, not computed: their
+    The right-hand sides are read off nabla H: its E([], I) coefficients,
+    and its E([c], I) coefficients recombined with L^-1.  The left-hand
+    sides are written down, not computed from beta^mu d_mu Psi_(p): their
     derivative side is sum_{mu,nu} (L L^-1)^mu_nu d[mu]p[nu][I], and
-    sum_mu (L L^-1)^mu_nu d[mu]y[I] after recombining the E([c], I) keys
-    with L^-1.  Raises ArithmeticError when L L^-1 != 1.
+    sum_mu (L L^-1)^mu_nu d[mu]y[I] after that recombination, so they
+    reduce to the written forms once L L^-1 = 1 is checked; deriving them
+    from the DKP action is ROADMAP item 2.  Raises ArithmeticError when
+    L L^-1 != 1.
 
-    With L = A / s and L^-1 = B / t for integer matrices A, B, the check is
-    A B = s t I, and all of the work runs on int numerators.
+    L = A / s and L^-1 = B / t, for integer matrices A and B, are read once
+    each.  The check is A B = s t I, the same pairs serve both frame
+    substitutions and the L^-1 recombination, and all of the work runs on
+    int numerators.
     """
     _validate(h, p, n, ("y", "p", "pi"))
     if lam.n != n:
@@ -623,14 +613,13 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     if any(sum(x * y for x, y in zip(row, col)) != (s * t if i == j else 0)
            for i, row in enumerate(a) for j, col in enumerate(zip(*b))):
         raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
-    to_pi, to_p = _frame_rows(lam.lam), _frame_rows(lam.lam_inv)
-    rhs_el = nabla(_frame_subst(h, "p", to_pi, "pi"), p, n)
+    rhs_el = nabla(_frame_subst(h, "p", (a, s), "pi"), p, n)
 
     momentum = []
     field = []
     for I in _multi_indices(n, p):
         lhs = FieldPoly._raw({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
-        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", to_p, "p")
+        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", (b, t), "p")
         momentum.append((I, lhs, rhs))
         by_c = [_coefficient(rhs_el, BasisElement((c,), I)) for c in range(1, n + 1)]
         den = lcm(*(q.den for q in by_c))
@@ -640,7 +629,7 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
             for row, q in zip(b, by_c):
                 if row[nu - 1] and q:
                     _mul_into(rhs_nu, {(): row[nu - 1] * (den // q.den)}, q.num)
-            rhs_nu = _frame_subst(FieldPoly._make(rhs_nu, den * t), "pi", to_p, "p")
+            rhs_nu = _frame_subst(FieldPoly._make(rhs_nu, den * t), "pi", (b, t), "p")
             field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs_nu))
     return DwhEquations(n, p, momentum, field)
 
@@ -658,12 +647,12 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    to_pi = _frame_rows(lam.lam)
+    to_pi = _integer_rows(lam.lam)
     left = nabla_adjoint(_frame_subst(g, "p", to_pi, "pi"), p, n)
     right = nabla(_frame_subst(f, "p", to_pi, "pi"), p, n)
     beta = beta_mu(lam, mu, "lower_neg", n)
     c = _coefficient(contract(left * beta * right, p), BasisElement((), ()))
-    return _frame_subst(c, "pi", _frame_rows(lam.lam_inv), "p")
+    return _frame_subst(c, "pi", _integer_rows(lam.lam_inv), "p")
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:

@@ -2,14 +2,18 @@
 
 Grammar (whitespace insignificant):
 
-    expr     := ['-'] term (('+' | '-') term)*
+    expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
     factor   := primary ('^' nat)*
-    primary  := rational | symbol | '(' expr ')' | '-' primary
+    primary  := rational | symbol | '(' expr ')' | '-' factor
     symbol   := 'y' '[' idxlist? ']'
               | ('pi' | 'p') '[' nat ']' ('[' idxlist? ']')?
     idxlist  := nat (',' nat)*
     rational := nat ('/' nat)?
+
+A unary minus negates the factor after it, powers included, wherever it
+stands: -y[]^2, 2*-y[]^2 and 1 - -y[]^2 read as -(y[]^2), 2*(-(y[]^2))
+and 1 - (-(y[]^2)).
 
 A momentum symbol without a second bracket group means the empty
 multi-index (rank 0), so pi[1] is shorthand for pi[1][].  Multi-indices
@@ -91,13 +95,7 @@ class _Parser:
         return poly
 
     def expr(self):
-        negate = False
-        if self.peek()[1] == "-":
-            self.next()
-            negate = True
         poly = self.term()
-        if negate:
-            poly = -poly
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.term()
@@ -132,7 +130,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if text == "-":
             self.next()
-            return -self.primary()
+            return -self.factor()
         if text == "(":
             self.next()
             poly = self.expr()

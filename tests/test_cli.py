@@ -13,7 +13,7 @@ import test_acceptance
 
 import dkpfields
 from dkpfields import algebra as al
-from dkpfields import cli, dkp
+from dkpfields import cli, dkp, suites
 from dkpfields.cli import main
 from dkpfields.fields import FieldPoly
 
@@ -161,6 +161,27 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_malformed_matrix_entries_exit_2(capsys):
+    """A matrix entry that is not a rational is a usage error, not a traceback."""
+    commands = [["derive-dwh", "--n", "2", "--H", "y[]"],
+                ["bracket", "--n", "2", "--G", "y[]", "--F", "p[1][]"]]
+    argvs = [argv + ["--lambda", lam] for lam in ("1,x;0,1", "1,1/0;0,1", "1,;0,1")
+             for argv in commands]
+    for argv in argvs + [["verify", "--n", "2", "--metric", "1,1/0;0,1"]]:
+        assert run_cli(argv) == (2, ""), argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_unknown_suite_exits_2_and_names_the_suites(capsys):
+    assert run_cli(["verify", "--n", "2", "--suite", "nosuch"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and all(name in err for name in suites.SUITE_NAMES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert ", ".join(suites.SUITE_NAMES) in " ".join(capsys.readouterr().out.split())
+
+
 def test_parser_cap_exits_2(monkeypatch, capsys):
     def no_pow(poly, e):
         raise AssertionError("the power was expanded")
@@ -190,7 +211,7 @@ def test_verify_n_ceiling_fails_fast(monkeypatch, capsys):
     def no_suites(*args, **kwargs):
         raise AssertionError("a suite ran above the n ceiling")
 
-    monkeypatch.setattr(cli, "run_suites", no_suites)
+    monkeypatch.setattr(suites, "run_suites", no_suites)
     code, out = run_cli(["verify", "--n", str(cli.VERIFY_MAX_N + 1), "--seed", "42"])
     assert (code, out) == (2, "")
     assert f"n <= {cli.VERIFY_MAX_N}" in capsys.readouterr().err
@@ -205,6 +226,29 @@ def test_python_dash_m_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "dim Z_(1) (6)" in done.stdout
+
+
+_SUITES_UNLOADED = """
+import sys
+from dkpfields.cli import main
+imported = "dkpfields.suites" in sys.modules
+lam = ["--lambda", "2,1;1,1"]
+codes = [main(["derive-dwh", "--n", "2", "--p", "1", "--H", "y[1]*p[1][1]"] + lam),
+         main(["bracket", "--n", "2", "--G", "y[]", "--F", "p[1][]^2"] + lam)]
+print(imported, codes, "dkpfields.suites" in sys.modules)
+"""
+
+
+def test_derive_dwh_and_bracket_leave_the_suites_unloaded():
+    """Only verify loads the check-group registry."""
+    src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _SUITES_UNLOADED],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False [0, 0] False"
 
 
 def readme_commands():
@@ -285,7 +329,7 @@ def test_verify_lambda_above_frame_size_exits_2(monkeypatch, capsys):
     def no_suites(*args, **kwargs):
         raise _Reached
 
-    monkeypatch.setattr(cli, "run_suites", no_suites)
+    monkeypatch.setattr(suites, "run_suites", no_suites)
     lam = "2,1,0,0;0,1,0,0;0,0,1,1;1,0,0,1"
     assert run_cli(["verify", "--n", "4", "--suite", "bracket", "--lambda", lam]) == (2, "")
     assert "--lambda for n <= 3" in capsys.readouterr().err

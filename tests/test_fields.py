@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dkpfields
+from dkpfields._linalg import SingularMatrixError, _integer_rows, invert
 from dkpfields.algebra import BasisElement
 from dkpfields.dkp import FrameMap
 from dkpfields.fields import (
@@ -32,6 +33,7 @@ from dkpfields.fields import (
     nabla_adjoint,
     p_sym,
     pi_sym,
+    _frame_subst,
     _gradient,
     symbol_poly,
     y_sym,
@@ -638,6 +640,53 @@ def test_substitute_cancellation_stores_no_zero():
     assert got.terms == _ref_substitute(f.terms, {s: r.terms for s, r in mapping.items()})
     assert (P(1, 1) - P(2, 1)).substitute(mapping).terms == {}
     _assert_canonical((P(1, 1) - P(2, 1)).substitute(mapping))
+
+
+def _frame_with_uneven_inverse(rng, n):
+    """FrameMap whose inverse is a random matrix with nonzero entries but
+    one zero, and rows over different denominators."""
+    while True:
+        inv = [[Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6)) for _ in range(n)]
+               for _ in range(n)]
+        inv[rng.randrange(n)][rng.randrange(n)] = Fraction(0)
+        if len({_integer_rows([row])[1] for row in inv}) == 1:
+            continue
+        try:
+            lam = FrameMap(invert(inv))
+        except SingularMatrixError:
+            continue
+        assert lam.lam_inv == tuple(map(tuple, inv))
+        return lam
+
+
+def test_frame_round_trip_through_integer_rows():
+    """p -> pi through L, then pi -> p through L^-1, each read once as the
+    (int rows, den) pair of _integer_rows, gives f back in canonical form.
+    Each p[a][I] maps to row a of L and each pi[a][I] to row a of L^-1, and
+    bracket and dwh_derive, which pass both pairs, do not see the frame."""
+    rng = random.Random(73)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            lam = _frame_with_uneven_inverse(rng, n)
+            p = rng.randint(0, min(n, 2))
+            syms = _field_syms(n, p, ("y", "p"))
+            f, g = _rand_poly(rng, syms, 4, max_e=2), _rand_poly(rng, syms, 2, max_e=1)
+            to_pi, to_p = _integer_rows(lam.lam), _integer_rows(lam.lam_inv)
+            back = _frame_subst(_frame_subst(f, "p", to_pi, "pi"), "pi", to_p, "p")
+            assert back == f
+            _assert_canonical(back)
+            I = tuple(range(1, p + 1))
+            for a in range(1, n + 1):
+                for kind, new, frame, m in (("p", "pi", to_pi, lam.lam),
+                                            ("pi", "p", to_p, lam.lam_inv)):
+                    sym = FieldPoly.of(FieldSymbol(kind, (a,), I))
+                    image = _frame_subst(sym, kind, frame, new)
+                    assert image.terms == {((FieldSymbol(new, (b,), I), 1),): m[a - 1][b - 1]
+                                           for b in range(1, n + 1) if m[a - 1][b - 1]}
+                    _assert_canonical(image)
+            mu = rng.randint(1, n)
+            assert bracket(g, f, mu, p, lam, n) == bracket_closed_form(g, f, mu, p, n)
+            assert dwh_derive(f, p, lam, n) == dwh_derive(f, p, FrameMap.identity(n), n)
 
 
 def test_nabla_matches_reference_scan():

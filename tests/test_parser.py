@@ -19,6 +19,19 @@ def test_grammar_anchor():
     assert got == Y(1) ** 2 + Fraction(1, 2) * P(1, 1)
 
 
+def test_unary_minus_negates_the_following_factor():
+    """'-' negates the factor after it, power included, wherever it stands."""
+    cases = {
+        "-y[]^2": -(Y() ** 2),
+        "2*-y[]^2": -2 * Y() ** 2,
+        "--y[]^2": Y() ** 2,
+        "1 - -y[]^2": 1 + Y() ** 2,
+        "y[]*-p[1][]^2": -(Y() * P(1) ** 2),
+    }
+    for src, want in cases.items():
+        assert parse_expr(src, 1, 0) == want, src
+
+
 def test_index_canonicalization_sign():
     assert parse_expr("y[2,1]", 2, 2) == -1 * Y(1, 2)
 
