@@ -11,7 +11,10 @@ exponents 3 and 4, and a bracket at n = 4, p = 2 whose p -> pi frame
 substitution cancels monomials of F.  The last two use dense frames with
 non-integer entries in both L and L^-1: a derive-dwh at n = 3, p = 1 whose
 H coefficients share factors, and a bracket at n = 4, p = 1 of F = 3/2 G,
-whose value reduces to 0.  Refactors must leave every report unchanged.
+whose value reduces to 0.  A bracket and a derive-dwh at n = 3, p = 1
+pin a dense non-integer frame against polynomials of high degree: F has 5
+terms of degree up to 7, G has 2 terms of degree up to 8, and H = F + G.
+Refactors must leave every report unchanged.
 After a deliberate change of report content, rewrite the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
