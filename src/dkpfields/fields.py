@@ -17,16 +17,10 @@ throughout, so raised and lowered field indices coincide.
 A FieldPoly stores int numerators over one positive int denominator, in
 lowest terms (the content/primitive-part form of Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Products, powers,
-substitutions, derivatives and the frame maps all run in ints: each of
+substitutions, derivatives and the frame sums all run in ints: each of
 L and L^-1 is read once per call, by _linalg._integer_rows, as int rows
 over one denominator.  Fractions appear only where a polynomial is built
 from rational coefficients, in the .terms view, and in str.
-
-The DWH equations are read off nabla H.  Their left-hand sides are fixed
-by construction: in y/p symbols the derivative side of each equation is
-contracted with L L^-1, so it is sum_mu d[mu]p[mu][I] or d[nu]y[I] when
-L L^-1 = 1.  dwh_derive checks that identity once per call with an
-explicit raise (python -O keeps it) and writes those forms directly.
 
 All multi-index sums below run over strictly increasing tuples only; the
 1/p! weights that would accompany sums over all index orderings are
@@ -38,18 +32,31 @@ The derivative operator into Z_(p) and its adjoint are
     nabla F          = sum_I E([],I) dF/dy[I] + sum_{a,I} E([a],I) dF/dpi[a][I]
     nabla_adjoint G  = sum_I E(I,[]) dG/dy[I] + sum_{a,I} E(I,[a]) dG/dpi[a][I]
 
-and the bracket of two rank-p observables written in y/p symbols is the
-vacuum coefficient of
+A y/p polynomial F enters them through the frame: F' = F(p = L pi) has,
+by the chain rule,
+
+    dF'/dpi[c][I] = sum_a L[a][c] dF/dp[a][I],
+
+which is read off one gradient of F and stays in y/p symbols, so no
+polynomial is ever rewritten in frame momenta.  The bracket of two rank-p
+observables is the vacuum coefficient of
 
     contract( (nabla_adjoint G') * beta_mu * (nabla F'), p )
 
-with G', F' rewritten in frame momenta and beta_mu the inverse-frame
-contraction of the negative vector DKP family.  It equals the closed form
+with beta_mu the inverse-frame contraction of the negative vector DKP
+family, the one place where L^-1 enters.  It equals the closed form
 
     sum_I ( dG/dy[I] dF/dp[mu][I] - dF/dy[I] dG/dp[mu][I] )
 
 exactly, is antisymmetric, satisfies the Leibniz rule, and satisfies the
 symmetrized double-bracket cyclic identity.
+
+The DWH equations are read off one y/p gradient of H, after a pi-written
+H is rewritten once by pi -> L^-1 p.  Their left-hand sides are fixed by
+construction: in y/p symbols the derivative side of each equation is
+contracted with L L^-1, so it is sum_mu d[mu]p[mu][I] or d[nu]y[I] when
+L L^-1 = 1.  dwh_derive checks that identity once per call with an
+explicit raise (python -O keeps it) and writes those forms directly.
 """
 
 from fractions import Fraction
@@ -58,7 +65,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from ._linalg import _integer_rows
+from ._linalg import _integer_rows, identity
 from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract
 from .dkp import FrameMap, beta_mu
 
@@ -180,10 +187,10 @@ class FieldPoly:
 
     One kernel does the arithmetic, in ints.  _mul_into adds a product of
     two numerator dicts into a third; *, substitute, bracket_closed_form and
-    the dwh_derive recombination accumulate through it, and ** expands by
+    the chain-rule sums of _nabla accumulate through it, and ** expands by
     the multinomial theorem through it.  _merge_monomials merges two sorted
     factor lists in one pass.  _gradient reads every partial derivative off
-    one pass over the terms, for partial, nabla and bracket_closed_form.
+    one pass over the terms, for every derivative taken in this module.
     Every result is brought to canonical form by _make.
     """
 
@@ -484,55 +491,56 @@ def _multi_indices(n, p):
 
 
 def nabla(f: FieldPoly, p, n) -> AlgebraElement:
-    """Z_(p)-valued derivative of a polynomial in y/pi symbols.
-
-    Every partial derivative is read from one pass over the terms of f
-    (_gradient), so the cost follows the terms of f, not the (n+1) C(n,p)
-    keys of Z_(p).
-    """
+    """Z_(p)-valued derivative of a polynomial in y/pi symbols."""
     _validate(f, p, n, ("y", "pi"))
-    grad = _gradient(f)
-    terms = {}
-    for I in _multi_indices(n, p):
-        c = grad.get(FieldSymbol("y", (), I))
-        if c:
-            terms[BasisElement((), I)] = FieldPoly._make(c, f.den)
-        for a in range(1, n + 1):
-            c = grad.get(FieldSymbol("pi", (a,), I))
-            if c:
-                terms[BasisElement((a,), I)] = FieldPoly._make(c, f.den)
-    return AlgebraElement._raw(n, terms)
+    return _nabla(f, p, n, "pi", _integer_rows(identity(n)))
 
 
 def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
     """Adjoint-placed derivative: nabla g with each key E(J,K) moved to E(K,J)."""
-    return AlgebraElement._raw(n, {BasisElement(be.lower, be.upper): c
-                                   for be, c in nabla(g, p, n).terms()})
+    return _adjoint_placed(nabla(g, p, n))
 
 
-# -- frame-map substitution ----------------------------------------------
+def _nabla(f: FieldPoly, p, n, kind, frame) -> AlgebraElement:
+    """E([],I) -> df/dy[I] and E([c],I) -> sum_a m[a][c] df/dkind[a][I],
+    for m given as the (int rows, den) pair of _integer_rows.
 
-
-def _frame_subst(f: FieldPoly, kind, frame, new_kind) -> FieldPoly:
-    """kind[a][I] -> sum_b m[a][b] new_kind[b][I], with m = L for p -> pi and
-    L^-1 for pi -> p, given as the (int rows, den) pair of _integer_rows."""
+    With kind 'pi' and m = 1 this is nabla f; with kind 'p' and m = L it is
+    nabla of f(p = L pi) by the chain rule, left in y/p symbols.  All
+    partials come from one _gradient of f, so the cost follows the terms of
+    f, not the (n+1) C(n,p) keys of Z_(p).
+    """
     rows, den = frame
-    mapping, targets = {}, {}  # targets: I -> the monomials new_kind[b][I], b = 1..n
-    for sym in f.symbols():
-        if sym.kind == kind:
-            monos = targets.get(sym.index)
-            if monos is None:
-                monos = targets[sym.index] = [((FieldSymbol(new_kind, (b,), sym.index), 1),)
-                                              for b in range(1, len(rows) + 1)]
-            mapping[sym] = FieldPoly._make(
-                {m: w for m, w in zip(monos, rows[sym.idx[0] - 1]) if w}, den)
+    grad = _gradient(f)
+    terms = {}
+    for I in _multi_indices(n, p):
+        d = grad.get(FieldSymbol("y", (), I))
+        if d:
+            terms[BasisElement((), I)] = FieldPoly._make(d, f.den)
+        by_a = [(row, grad.get(FieldSymbol(kind, (a,), I))) for a, row in enumerate(rows, 1)]
+        for c in range(n):
+            out = {}
+            for row, d in by_a:
+                if d and row[c]:
+                    _mul_into(out, {(): row[c]}, d)
+            if out:
+                terms[BasisElement((c + 1,), I)] = FieldPoly._make(out, f.den * den)
+    return AlgebraElement._raw(n, terms)
+
+
+def _adjoint_placed(el: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement._raw(el.n, {BasisElement(be.lower, be.upper): c
+                                      for be, c in el.terms()})
+
+
+def _frame_subst(f: FieldPoly, inverse) -> FieldPoly:
+    """pi[a][I] -> sum_b L^-1[a][b] p[b][I], with L^-1 given as the
+    (int rows, den) pair of _integer_rows."""
+    rows, den = inverse
+    mapping = {s: FieldPoly._make({((FieldSymbol("p", (b,), s.index), 1),): w
+                                   for b, w in enumerate(rows[s.idx[0] - 1], 1) if w}, den)
+               for s in f.symbols() if s.kind == "pi"}
     return f.substitute(mapping) if mapping else f
-
-
-def _coefficient(el: AlgebraElement, be) -> FieldPoly:
-    """Polynomial coefficient of one basis key (absent keys give 0)."""
-    c = el.coefficient(be)
-    return FieldPoly.const(c) if isinstance(c, Fraction) else c
 
 
 # -- covariant Hamiltonian field equations --------------------------------
@@ -587,24 +595,18 @@ class DwhEquations:
 def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     """Derive the covariant Hamiltonian equations for rank-p fields.
 
-    h may be written in y/p symbols (polymomenta are substituted through the
-    frame map internally) or directly in y/pi symbols.  The equations are
-    normalized to y/p symbols, so the output does not depend on the frame
-    map.
-
-    The right-hand sides are read off nabla H: its E([], I) coefficients,
-    and its E([c], I) coefficients recombined with L^-1.  The left-hand
-    sides are written down, not computed from beta^mu d_mu Psi_(p): their
-    derivative side is sum_{mu,nu} (L L^-1)^mu_nu d[mu]p[nu][I], and
-    sum_mu (L L^-1)^mu_nu d[mu]y[I] after that recombination, so they
-    reduce to the written forms once L L^-1 = 1 is checked; deriving them
-    from the DKP action is ROADMAP item 2.  Raises ArithmeticError when
-    L L^-1 != 1.
+    h may be written in y/p symbols, in y/pi symbols or in both.  Frame
+    momenta are rewritten once, by pi -> L^-1 p, and the right-hand sides
+    -dH/dy[I] and dH/dp[nu][I] are read off one y/p gradient of h, so the
+    output does not depend on the frame map.  Read through the frame they
+    are the E([], I) and E([c], I) keys of nabla H', H' = H(p = L pi),
+    with the chain-rule factor sum_nu L[nu][c] undone by L^-1 once
+    L L^-1 = 1.  The left-hand sides are written down by the same
+    identity (module docstring); deriving them from the DKP action is
+    ROADMAP item 2.
 
     L = A / s and L^-1 = B / t, for integer matrices A and B, are read once
-    each.  The check is A B = s t I, the same pairs serve both frame
-    substitutions and the L^-1 recombination, and all of the work runs on
-    int numerators.
+    each.  Raises ArithmeticError unless A B = s t I.
     """
     _validate(h, p, n, ("y", "p", "pi"))
     if lam.n != n:
@@ -613,24 +615,18 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     if any(sum(x * y for x, y in zip(row, col)) != (s * t if i == j else 0)
            for i, row in enumerate(a) for j, col in enumerate(zip(*b))):
         raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
-    rhs_el = nabla(_frame_subst(h, "p", (a, s), "pi"), p, n)
+    h = _frame_subst(h, (b, t))
+    grad = _gradient(h)
 
     momentum = []
     field = []
     for I in _multi_indices(n, p):
         lhs = FieldPoly._raw({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
-        rhs = -_frame_subst(_coefficient(rhs_el, BasisElement((), I)), "pi", (b, t), "p")
+        rhs = -FieldPoly._make(grad.get(FieldSymbol("y", (), I), {}), h.den)
         momentum.append((I, lhs, rhs))
-        by_c = [_coefficient(rhs_el, BasisElement((c,), I)) for c in range(1, n + 1)]
-        den = lcm(*(q.den for q in by_c))
         for nu in range(1, n + 1):
-            # sum_c L^-1[c][nu] by_c[c] = sum_c b[c][nu] (den / den_c) num_c / (den t)
-            rhs_nu = {}
-            for row, q in zip(b, by_c):
-                if row[nu - 1] and q:
-                    _mul_into(rhs_nu, {(): row[nu - 1] * (den // q.den)}, q.num)
-            rhs_nu = _frame_subst(FieldPoly._make(rhs_nu, den * t), "pi", (b, t), "p")
-            field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs_nu))
+            rhs = FieldPoly._make(grad.get(FieldSymbol("p", (nu,), I), {}), h.den)
+            field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs))
     return DwhEquations(n, p, momentum, field)
 
 
@@ -641,18 +637,20 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """Bracket of two rank-p observables in y/p symbols.
 
     Vacuum coefficient of contract((nabla_adjoint g') beta_mu (nabla f'), p)
-    with g', f' rewritten in frame momenta; the result is rewritten back in
-    polymomenta.  No 1/p! weight appears: the canonical-multi-index sums in
-    the derivative operators absorb it.
+    for g' = g(p = L pi) and f' = f(p = L pi).  The frame-momentum
+    derivatives are taken by the chain rule (_nabla), so every coefficient
+    stays in y/p symbols and L^-1 enters only through beta_mu.  No 1/p!
+    weight appears: the canonical-multi-index sums in the derivative
+    operators absorb it.
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    to_pi = _integer_rows(lam.lam)
-    left = nabla_adjoint(_frame_subst(g, "p", to_pi, "pi"), p, n)
-    right = nabla(_frame_subst(f, "p", to_pi, "pi"), p, n)
     beta = beta_mu(lam, mu, "lower_neg", n)
-    c = _coefficient(contract(left * beta * right, p), BasisElement((), ()))
-    return _frame_subst(c, "pi", _integer_rows(lam.lam_inv), "p")
+    frame = _integer_rows(lam.lam)
+    left = _adjoint_placed(_nabla(g, p, n, "p", frame))
+    right = _nabla(f, p, n, "p", frame)
+    c = contract(left * beta * right, p).coefficient(BasisElement((), ()))
+    return FieldPoly.const(c) if isinstance(c, Fraction) else c  # Fraction(0) if absent
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:

@@ -35,6 +35,7 @@ from dkpfields.fields import (
     pi_sym,
     _frame_subst,
     _gradient,
+    _nabla,
     symbol_poly,
     y_sym,
 )
@@ -659,34 +660,78 @@ def _frame_with_uneven_inverse(rng, n):
         return lam
 
 
+def _ref_frame_map(kind, new_kind, m, n, I):
+    """{kind[a][I]: {new_kind[b][I]: m[a][b]}} for the reference substitution."""
+    return {FieldSymbol(kind, (a,), I): {((FieldSymbol(new_kind, (b,), I), 1),): m[a - 1][b - 1]
+                                         for b in range(1, n + 1) if m[a - 1][b - 1]}
+            for a in range(1, n + 1)}
+
+
 def test_frame_round_trip_through_integer_rows():
-    """p -> pi through L, then pi -> p through L^-1, each read once as the
-    (int rows, den) pair of _integer_rows, gives f back in canonical form.
-    Each p[a][I] maps to row a of L and each pi[a][I] to row a of L^-1, and
-    bracket and dwh_derive, which pass both pairs, do not see the frame."""
+    """p -> pi by the chain rule and pi -> p by substitution, with L and
+    L^-1 each read once as the (int rows, den) pair of _integer_rows.
+
+    The frame-momentum derivatives of f' = f(p = L pi), which _nabla keeps
+    in y/p symbols, are checked against the reference: _ref_partial of
+    _ref_substitute(f, p -> L pi), with the result of _nabla mapped to pi
+    symbols the same way.  Each pi[a][I] maps to row a of L^-1, and
+    bracket and dwh_derive do not see the frame."""
     rng = random.Random(73)
     for n in (2, 3, 4):
         for _ in range(4):
             lam = _frame_with_uneven_inverse(rng, n)
             p = rng.randint(0, min(n, 2))
             syms = _field_syms(n, p, ("y", "p"))
-            f, g = _rand_poly(rng, syms, 4, max_e=2), _rand_poly(rng, syms, 2, max_e=1)
-            to_pi, to_p = _integer_rows(lam.lam), _integer_rows(lam.lam_inv)
-            back = _frame_subst(_frame_subst(f, "p", to_pi, "pi"), "pi", to_p, "p")
-            assert back == f
-            _assert_canonical(back)
-            I = tuple(range(1, p + 1))
-            for a in range(1, n + 1):
-                for kind, new, frame, m in (("p", "pi", to_pi, lam.lam),
-                                            ("pi", "p", to_p, lam.lam_inv)):
-                    sym = FieldPoly.of(FieldSymbol(kind, (a,), I))
-                    image = _frame_subst(sym, kind, frame, new)
-                    assert image.terms == {((FieldSymbol(new, (b,), I), 1),): m[a - 1][b - 1]
-                                           for b in range(1, n + 1) if m[a - 1][b - 1]}
+            f, g = _rand_poly(rng, syms, 5), _rand_poly(rng, syms, 3)
+            to_pi = {}
+            for I in combinations(range(1, n + 1), p):
+                to_pi.update(_ref_frame_map("p", "pi", lam.lam, n, I))
+            f_pi = _ref_substitute(f.terms, to_pi)
+            got = dict(_nabla(f, p, n, "p", _integer_rows(lam.lam)).terms())
+            to_p = _integer_rows(lam.lam_inv)
+            for I in combinations(range(1, n + 1), p):
+                for be, sym in [(BasisElement((), I), y_sym(I))] + [
+                        (BasisElement((c,), I), pi_sym(c, I)) for c in range(1, n + 1)]:
+                    d = got.get(be, FieldPoly.zero())
+                    assert _ref_substitute(d.terms, to_pi) == _ref_partial(f_pi, sym)
+                    assert d.symbols() <= set(syms)
+                    _assert_canonical(d)
+                for a in range(1, n + 1):
+                    image = _frame_subst(FieldPoly.of(pi_sym(a, I)), to_p)
+                    assert image.terms == _ref_frame_map("pi", "p", lam.lam_inv, n, I)[pi_sym(a, I)]
                     _assert_canonical(image)
             mu = rng.randint(1, n)
             assert bracket(g, f, mu, p, lam, n) == bracket_closed_form(g, f, mu, p, n)
             assert dwh_derive(f, p, lam, n) == dwh_derive(f, p, FrameMap.identity(n), n)
+
+
+def _no_substitute(self, mapping):
+    raise AssertionError(f"FieldPoly.substitute called on {self}")
+
+
+def test_bracket_and_dwh_derive_make_no_substitution(monkeypatch):
+    """Over a dense frame, y/p input reaches bracket and dwh_derive without
+    a substitution.  Only an H written with frame momenta is rewritten,
+    once, by pi -> L^-1 p."""
+    rng = random.Random(79)
+    for n, p in ((2, 0), (3, 1), (4, 2)):
+        lam = _frame_with_uneven_inverse(rng, n)
+        syms = _field_syms(n, p, ("y", "p"))
+        g, f, h = (_rand_poly(rng, syms, 4) for _ in range(3))
+        h_pi = h + _rand_poly(rng, _field_syms(n, p, ("pi",)), 4) + PI(n, *range(1, p + 1))
+        to_p = {}
+        for I in combinations(range(1, n + 1), p):
+            to_p.update(_ref_frame_map("pi", "p", lam.lam_inv, n, I))
+        h_p = FieldPoly(_ref_substitute(h_pi.terms, to_p))
+        mu = rng.randint(1, n)
+        with monkeypatch.context() as m:
+            m.setattr(FieldPoly, "substitute", _no_substitute)
+            assert bracket(g, f, mu, p, lam, n) == bracket_closed_form(g, f, mu, p, n)
+            for q in (h, h_p):
+                assert dwh_derive(q, p, lam, n) == dwh_derive(q, p, FrameMap.identity(n), n)
+            with pytest.raises(AssertionError, match="substitute called"):
+                dwh_derive(h_pi, p, lam, n)
+        assert dwh_derive(h_pi, p, lam, n) == dwh_derive(h_p, p, lam, n)
 
 
 def test_nabla_matches_reference_scan():
