@@ -14,6 +14,9 @@ H coefficients share factors, and a bracket at n = 4, p = 1 of F = 3/2 G,
 whose value reduces to 0.  A bracket and a derive-dwh at n = 3, p = 1
 pin a dense non-integer frame against polynomials of high degree: F has 5
 terms of degree up to 7, G has 2 terms of degree up to 8, and H = F + G.
+Two verify --suite dkp reports pin the generator layer: n = 5 with seed 42,
+and n = 3 over the metric 1/2,1,0;1,-2/3,1;0,1,3, whose entries are not
+all integers.
 Refactors must leave every report unchanged.
 After a deliberate change of report content, rewrite the fixture with
 
