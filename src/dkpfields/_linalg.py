@@ -8,6 +8,7 @@ determinant of a block and, over [s * m | I], the adjugate of s * m.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -72,19 +73,33 @@ def _bareiss(a):
     return sign * prev
 
 
-def invert(m):
-    """Exact inverse as Fractions, from one Bareiss pass over [s * m | I].
-
-    Raises SingularMatrixError if the matrix is not invertible.
-    """
+def _inverse_rows(m):
+    """m^-1 as an (int rows, den) pair from one Bareiss pass over [s m | I]; raises if singular."""
     a, scale = _integer_rows(m)
     n = len(a)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(n))
     if not _bareiss(a):
         raise SingularMatrixError("matrix is singular")
-    # (s m)^-1 = right block / d, and m^-1 = s (s m)^-1
-    return tuple(tuple(Fraction(scale * x, row[i]) for x in row[n:]) for i, row in enumerate(a))
+    # the left block ends as d * I, so (s m)^-1 = right block / d and m^-1 = s (s m)^-1
+    return [[scale * x for x in row[n:]] for row in a], a[0][0]
+
+
+def _fractions(m):
+    rows, den = m
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def invert(m):
+    """Exact inverse as Fractions; raises SingularMatrixError if singular."""
+    return _fractions(_inverse_rows(m))
+
+
+def _apply_rows(m, v):
+    """(int numerators, den) of m v, m an (int rows, den) pair; v is scaled to ints."""
+    rows, den = m
+    (w,), s = _integer_rows((v,))
+    return [sum(map(mul, row, w)) for row in rows], den * s
 
 
 def compound(m, p):
@@ -113,8 +128,3 @@ def mat_mul(a, b):
 
 def transpose(m):
     return tuple(tuple(row[j] for row in m) for j in range(len(m)))
-
-
-def is_symmetric(m):
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))

@@ -31,7 +31,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import SingularMatrixError, as_matrix, compound, identity, invert, is_symmetric
+from ._linalg import SingularMatrixError, _apply_rows, _fractions, _integer_rows, _inverse_rows
+from ._linalg import as_matrix, compound, identity, transpose
 
 __all__ = [
     "AlgebraElement",
@@ -390,16 +391,21 @@ def embed_covector(a, n=None):
 
 
 class Metric:
-    """Symmetric invertible matrix with exact inverse; raises if singular."""
+    """Symmetric invertible matrix with exact inverse; raises if singular.
 
-    __slots__ = ("n", "g", "g_inv", "_minors")
+    g and g^-1 are also kept as (int rows, den) pairs: flat, sharp, pair and
+    pair_inv run in ints and build one Fraction per result component.
+    """
+
+    __slots__ = ("n", "g", "g_inv", "_minors", "_rows", "_inv_rows")
 
     def __init__(self, rows):
         self.g = as_matrix(rows)
         self.n = len(self.g)
-        if not is_symmetric(self.g):
+        if self.g != transpose(self.g):
             raise ValueError("metric must be symmetric")
-        self.g_inv = invert(self.g)
+        self._rows, self._inv_rows = _integer_rows(self.g), _inverse_rows(self.g)
+        self.g_inv = _fractions(self._inv_rows)
         self._minors = {}
 
     @classmethod
@@ -408,21 +414,30 @@ class Metric:
 
     def flat(self, v):
         """Lower an index: vector components -> covector components."""
-        v = _components(v, self.n)
-        return tuple(sum(self.g[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
+        return self._image(self._rows, _components(v, self.n))
 
     def sharp(self, a):
         """Raise an index: covector components -> vector components."""
-        a = _components(a, self.n)
-        return tuple(sum(self.g_inv[i][j] * a[j] for j in range(self.n)) for i in range(self.n))
+        return self._image(self._inv_rows, _components(a, self.n))
 
     def pair(self, v, w):
         """g(v, w) on vector components."""
-        return sum(x * y for x, y in zip(self.flat(v), _components(w, self.n)))
+        return self._dot(self._rows, v, w)
 
     def pair_inv(self, a, b):
         """g^{-1}(a, b) on covector components."""
-        return sum(x * y for x, y in zip(self.sharp(a), _components(b, self.n)))
+        return self._dot(self._inv_rows, a, b)
+
+    def _image(self, m, v, s=1):
+        """s * m v for checked components v, with m one of the int pairs."""
+        nums, den = _apply_rows(m, v)
+        return tuple(Fraction(s * x, den) for x in nums)
+
+    def _dot(self, m, v, w):
+        """w . (m v) in ints: the numerators of m v, as a one-row pair, applied to w."""
+        nums, den = _apply_rows(m, _components(v, self.n))
+        (x,), den = _apply_rows(((nums,), den), _components(w, self.n))
+        return Fraction(x, den)
 
     def _minors_of(self, p):
         """Nonzero p x p minors of g and of g^{-1}, each as {rows: ((cols, det), ...)}.

@@ -1,7 +1,9 @@
 """DKP generator families inside the split-form Clifford algebra.
 
 A metric g on the vector side turns pairs of projected words into DKP
-generators.  Five constructions are supported, tagged by family name:
+generators.  (P) kills all but n terms of each embedding, so a generator is
+written term by term, its metric image read off g's integer rows.  Five
+constructions are supported, tagged by family name:
 
     b_upper        b^a   = (^a P) + (P_{sharp a})
     b_upper_neg    b_^a  = (^a P) - (P_{sharp a})
@@ -34,15 +36,8 @@ every invertible L and reduces to the delta form when L L^T = 1.
 from fractions import Fraction
 
 from ._linalg import as_matrix, identity, invert, mat_mul, transpose
-from .algebra import (
-    AlgebraElement,
-    BasisElement,
-    IndexRangeError,
-    Metric,
-    _components,
-    projector_p,
-    projector_pi,
-)
+from .algebra import AlgebraElement, BasisElement, IndexRangeError, Metric, _components
+from .algebra import projector_p, projector_pi
 
 FAMILIES = ("b_upper", "b_upper_neg", "b_lower_neg", "beta_lower", "beta_lower_neg")
 
@@ -70,20 +65,20 @@ class FrameMap:
         return f"FrameMap({[list(r) for r in self.lam]})"
 
 
-def _basis_tuple(i, n):
-    return tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+def _index(i, n):
+    """An index in 1..n; a non-int or an index outside raises, so none wraps."""
+    if not isinstance(i, int):
+        raise TypeError(f"index must be an int, not {type(i).__name__}")
+    if not 1 <= i <= n:
+        raise IndexRangeError(f"index {i} outside 1..{n}")
+    return i
 
 
-def _p_right(v, n):
-    """(P_v) = (P) (v) = sum_j v_j E([], [j]): (P) kills the J != [] embedding terms."""
-    return AlgebraElement(n, {BasisElement((), (j,)): c
-                              for j, c in enumerate(_components(v, n), start=1)})
-
-
-def _p_left(a, n):
-    """(^a P) = (a) (P) = sum_j a_j E([j], [])."""
-    return AlgebraElement(n, {BasisElement((j,), ()): c
-                              for j, c in enumerate(_components(a, n), start=1)})
+def _words(n, left, right):
+    """(^left P) + (P_right) = sum_j left_j E([j], []) + sum_j right_j E([], [j]), zeros skipped."""
+    terms = {BasisElement((j,), ()): c for j, c in enumerate(left, start=1) if c}
+    terms.update((BasisElement((), (j,)), c) for j, c in enumerate(right, start=1) if c)
+    return AlgebraElement._raw(n, terms)
 
 
 def make_generator(family, arg, g: Metric):
@@ -92,20 +87,18 @@ def make_generator(family, arg, g: Metric):
     The b-families take component tuples (covector for the upper families,
     vector for b_lower_neg); the beta families take a basis index 1..n.
     """
-    n = g.n
-    if family == "b_upper":
-        return _p_left(arg, n) + _p_right(g.sharp(arg), n)
-    if family == "b_upper_neg":
-        return _p_left(arg, n) - _p_right(g.sharp(arg), n)
+    n, s = g.n, _family_sign(family)
+    if family in _COVECTOR_FAMILIES:
+        a = _components(arg, n)
+        return _words(n, a, g._image(g._inv_rows, a, s))
     if family == "b_lower_neg":
-        return _p_right(arg, n) - _p_left(g.flat(arg), n)
-    if family == "beta_lower":
-        v = _basis_tuple(arg, n)
-        return _p_right(v, n) + _p_left(g.flat(v), n)
-    if family == "beta_lower_neg":
-        v = _basis_tuple(arg, n)
-        return _p_right(v, n) - _p_left(g.flat(v), n)
-    raise ValueError(f"unknown family {family!r}")
+        v = _components(arg, n)
+    elif family in ("beta_lower", "beta_lower_neg"):
+        i = _index(arg, n)
+        v = tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return _words(n, g._image(g._rows, v, s), v)
 
 
 def _pairing(family, x, y, g: Metric):
@@ -129,9 +122,7 @@ def dkp_unit(n):
 def check_trilinear(family, args, g: Metric):
     """Residual L - R of the family's trilinear relation; zero iff it holds."""
     x1, x2, x3 = args
-    b1 = make_generator(family, x1, g)
-    b2 = make_generator(family, x2, g)
-    b3 = make_generator(family, x3, g)
+    b1, b2, b3 = (make_generator(family, x, g) for x in args)
     lhs = b1 * b2 * b3 + b3 * b2 * b1
     s = _family_sign(family)
     rhs = (s * _pairing(family, x1, x2, g)) * b3 + (s * _pairing(family, x3, x2, g)) * b1
@@ -149,15 +140,14 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
     n = lam.n if n is None else n
     if n != lam.n:
         raise IndexRangeError("frame map dimension must match n")
-    if not 1 <= mu <= n:
-        raise IndexRangeError(f"index {mu} outside 1..{n}")
+    mu = _index(mu, n)
     if variant == "upper_neg":
         w = lam.lam[mu - 1]
     elif variant == "lower_neg":
         w = [-row[mu - 1] for row in lam.lam_inv]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _p_left(w, n) - _p_right(w, n)
+    return _words(n, w, [-c for c in w])
 
 
 def _triple_residual(lam: FrameMap, mu, nu, gamma, w):

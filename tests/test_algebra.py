@@ -499,3 +499,56 @@ def test_metric_rejects_wrong_component_count():
             with pytest.raises(DimensionMismatchError):
                 call()
     assert g.pair((1, 2), (3, 4)) == g.pair_inv((1, 2), (3, 4)) == 11
+
+
+def rand_sparse_metric(n, rng):
+    """A random invertible rational metric; from n = 2 on it has a zero and a non-integer entry."""
+    while True:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 1, -2, Fraction(1, 2), Fraction(-5, 3)))
+        flat = [x for row in rows for x in row]
+        if n > 1 and (0 not in flat or all(x.denominator == 1 for x in flat)):
+            continue
+        try:
+            return Metric(rows)
+        except SingularMatrixError:
+            continue
+
+
+def test_metric_integer_path_matches_fraction_reference():
+    """flat, sharp, pair and pair_inv equal sum_j m_ij v_j over Fractions.
+
+    The metrics have zero and non-integer entries, and the arguments are int
+    or Fraction tuples with zero components, so neither the rows' nor the
+    argument's common denominator is 1.
+    """
+
+    def ref(m, v):
+        return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m)
+
+    def dot(x, y):
+        return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+    rng = random.Random(83)
+    for n in range(1, 6):
+        for _ in range(4):
+            g = rand_sparse_metric(n, rng)
+            assert mat_mul(g.g, g.g_inv) == identity(n)
+            args = [tuple(rng.choice((0, 1, -3)) for _ in range(n)),
+                    tuple(rng.choice((0, Fraction(2, 3), Fraction(-1, 4), 5)) for _ in range(n)),
+                    (0,) * n]
+            for v in args:
+                want_flat, want_sharp = ref(g.g, v), ref(g.g_inv, v)
+                assert g.flat(v) == want_flat and g.sharp(v) == want_sharp
+                assert all(type(x) is Fraction for x in g.flat(v) + g.sharp(v))
+                assert g.sharp(g.flat(v)) == tuple(v)
+                for w in args:
+                    assert g.pair(v, w) == dot(want_flat, w)
+                    assert g.pair_inv(v, w) == dot(want_sharp, w)
+                    assert type(g.pair(v, w)) is Fraction
+    g = Metric([[Fraction(1, 2), 0], [0, 3]])
+    for call in (g.flat, g.sharp, lambda v: g.pair(v, (1, 1)), lambda v: g.pair_inv((1, 1), v)):
+        with pytest.raises(TypeError):
+            call((1, 0.5))

@@ -283,3 +283,51 @@ def test_beta_mu_validation():
         beta_mu(lam, 3, "upper_neg")
     with pytest.raises(ValueError):
         beta_mu(lam, 1, "diagonal")
+
+
+def test_beta_families_reject_bad_indices():
+    """An index outside 1..n raises instead of building the zero element or wrapping."""
+    g = Metric.euclidean(3)
+    for family in ("beta_lower", "beta_lower_neg"):
+        for i in (0, 4, -1, -3):
+            with pytest.raises(al.IndexRangeError):
+                make_generator(family, i, g)
+        for i in ((1,), 1.0, Fraction(1), "1"):
+            with pytest.raises(TypeError):
+                make_generator(family, i, g)
+        with pytest.raises(al.IndexRangeError):
+            check_trilinear(family, (0, 1, 2), g)
+        with pytest.raises(al.IndexRangeError):
+            check_trilinear(family, (1, 2, -1), g)
+    with pytest.raises(TypeError):
+        beta_mu(FrameMap.identity(2), Fraction(1), "upper_neg")
+
+
+def test_generators_are_normalized_elements():
+    """Each generator and beta_mu equals its validated AlgebraElement and stores no zero.
+
+    Arguments and frames have zero components, so every zero guard is exercised.
+    """
+    rng = random.Random(91)
+
+    def check(x):
+        assert x == al.AlgebraElement(x.n, dict(x.terms()))
+        assert all(c and type(c) is Fraction for _, c in x.terms())
+
+    for n in range(1, 6):
+        for _ in range(3):
+            g = rand_metric(n, rng)
+            args = [tuple(rng.choice((0, 0, 2, Fraction(-1, 3))) for _ in range(n)), (0,) * n]
+            for family in FAMILIES:
+                for arg in (range(1, n + 1) if family.startswith("beta") else args):
+                    check(make_generator(family, arg, g))
+            rows = [[rng.choice((0, 1, Fraction(-3, 2))) for _ in range(n)] for _ in range(n)]
+            try:
+                lam = FrameMap(rows)
+            except SingularMatrixError:
+                continue
+            for mu in range(1, n + 1):
+                for variant in ("upper_neg", "lower_neg"):
+                    check(beta_mu(lam, mu, variant))
+    assert make_generator("b_upper", (0, 0), Metric.euclidean(2)).is_zero
+    assert len(make_generator("b_lower_neg", (0, 1, 0), Metric.euclidean(3))) == 2
