@@ -5,9 +5,10 @@ to integers once, and fraction-free Gauss-Jordan after Bareiss gives the
 determinant of a block and, over [s * m | I], the adjugate of s * m.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -15,19 +16,61 @@ class SingularMatrixError(ValueError):
     """Matrix has no exact inverse."""
 
 
-def as_matrix(rows):
-    """Normalize to a tuple-of-tuples of Fractions; rejects floats."""
-    out = []
-    for row in rows:
-        frow = []
-        for x in row:
-            if isinstance(x, float):
-                raise TypeError("float entries are not allowed; use Fraction or int")
-            frow.append(Fraction(x))
-        out.append(tuple(frow))
-    if any(len(r) != len(out) for r in out):
+# Fraction's string syntax: a sign, then digits over digits, or a decimal with an exponent
+_ENTRY = re.compile(r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<den>\d+(_\d+)*))?|(?:\.(?P<frac>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*""", re.VERBOSE | re.IGNORECASE)
+
+# an entry string holds at most this many digits, and an exponent at most this large
+MAX_ENTRY_DIGITS = 100
+
+
+def _read_entry(x):
+    """(numerator, denominator > 0) of an int, a Fraction or a rational string.
+
+    A string in Fraction's syntax is read straight into ints.  One above
+    MAX_ENTRY_DIGITS is refused before any arithmetic, so "1e1000000" never
+    builds its million-digit numerator.
+    """
+    if isinstance(x, str):
+        if len(x) <= MAX_ENTRY_DIGITS:
+            try:
+                return int(x), 1
+            except ValueError:
+                pass
+        m = _ENTRY.fullmatch(x)
+        if m is None:
+            raise ValueError(f"invalid matrix entry {x!r}")
+        num, den, frac, exp = (m[k].replace("_", "") if m[k] else ""
+                               for k in ("num", "den", "frac", "exp"))
+        if (len(num) + len(den) + len(frac) + len(exp) > MAX_ENTRY_DIGITS
+                or abs(int(exp or 0)) > MAX_ENTRY_DIGITS):
+            raise ValueError(f"matrix entry {x!r} is above the cap: at most {MAX_ENTRY_DIGITS} "
+                             f"digits and an exponent of at most {MAX_ENTRY_DIGITS}")
+        if den:
+            a, d = int(num), int(den)
+            if not d:
+                raise ZeroDivisionError(f"matrix entry {x!r} divides by zero")
+        else:
+            e = int(exp or 0) - len(frac)
+            a, d = int(num + frac) * 10 ** max(e, 0), 10 ** max(-e, 0)
+        g = gcd(a, d)
+        return (-a if m["sign"] == "-" else a) // g, d // g
+    if isinstance(x, float):
+        raise TypeError("float entries are not allowed; use Fraction or int")
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _read_rows(rows):
+    """(int rows, den) of a square matrix of entries read by _read_entry, with
+    den the lcm of their denominators."""
+    entries = [[_read_entry(x) for x in row] for row in rows]
+    if any(len(r) != len(entries) for r in entries):
         raise ValueError("matrix must be square")
-    return tuple(out)
+    scale = lcm(1, *(d for row in entries for _, d in row))
+    return [[a * (scale // d) for a, d in row] for row in entries], scale
 
 
 def identity(n):
@@ -74,15 +117,17 @@ def _bareiss(a):
 
 
 def _inverse_rows(m):
-    """m^-1 as an (int rows, den) pair from one Bareiss pass over [s m | I]; raises if singular."""
-    a, scale = _integer_rows(m)
-    n = len(a)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(n))
+    """m^-1 as an (int rows, den > 0) pair, for m given as an (int rows, den)
+    pair, from one Bareiss pass over [s m | I]; raises if singular."""
+    rows, scale = m
+    n = len(rows)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     if not _bareiss(a):
         raise SingularMatrixError("matrix is singular")
     # the left block ends as d * I, so (s m)^-1 = right block / d and m^-1 = s (s m)^-1
-    return [[scale * x for x in row[n:]] for row in a], a[0][0]
+    d = a[0][0]
+    k = scale if d > 0 else -scale
+    return [[k * x for x in row[n:]] for row in a], abs(d)
 
 
 def _fractions(m):
@@ -92,7 +137,7 @@ def _fractions(m):
 
 def invert(m):
     """Exact inverse as Fractions; raises SingularMatrixError if singular."""
-    return _fractions(_inverse_rows(m))
+    return _fractions(_inverse_rows(_integer_rows(m)))
 
 
 def _apply_rows(m, v):

@@ -31,8 +31,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import SingularMatrixError, _apply_rows, _fractions, _integer_rows, _inverse_rows
-from ._linalg import as_matrix, compound, identity, transpose
+from ._linalg import SingularMatrixError, _apply_rows, _fractions, _inverse_rows, _read_rows
+from ._linalg import compound, identity, transpose
 
 __all__ = [
     "AlgebraElement",
@@ -47,6 +47,7 @@ __all__ = [
     "basis_word",
     "canonicalize",
     "contract",
+    "contract_product",
     "embed_covector",
     "embed_vector",
     "gen_delta",
@@ -393,18 +394,21 @@ def embed_covector(a, n=None):
 class Metric:
     """Symmetric invertible matrix with exact inverse; raises if singular.
 
-    g and g^-1 are also kept as (int rows, den) pairs: flat, sharp, pair and
-    pair_inv run in ints and build one Fraction per result component.
+    g and g^-1 are also kept as (int rows, den) pairs: g straight from the
+    entries, by the reader FrameMap shares (_linalg._read_rows), and g^-1
+    from one Bareiss pass over it.  flat, sharp, pair and pair_inv run in
+    ints and build one Fraction per result component.
     """
 
     __slots__ = ("n", "g", "g_inv", "_minors", "_rows", "_inv_rows")
 
     def __init__(self, rows):
-        self.g = as_matrix(rows)
+        self._rows = _read_rows(rows)
+        self.g = _fractions(self._rows)
         self.n = len(self.g)
         if self.g != transpose(self.g):
             raise ValueError("metric must be symmetric")
-        self._rows, self._inv_rows = _integer_rows(self.g), _inverse_rows(self.g)
+        self._inv_rows = _inverse_rows(self._rows)
         self.g_inv = _fractions(self._inv_rows)
         self._minors = {}
 
@@ -502,3 +506,25 @@ def contract(x, p):
     if total is not None and total:
         return AlgebraElement._raw(x.n, {BasisElement((), ()): total})
     return out
+
+
+def contract_product(x, y, p):
+    """Vacuum coefficient of contract(x * y, p), without forming x * y.
+
+    Only the E(I, I) keys of the product reach the vacuum line, so this is
+    sum over the terms E(I, K) of x of x[I, K] * y[K, I]: one lookup per term
+    of x.  Every term of x must have |I| = p and every term of y a lower
+    index of length p, else GradeError, so the grade check of contract
+    holds for any product the factors could form.  Returns 0 when no key
+    meets.
+    """
+    x._require_same_n(y)
+    if any(len(up) != p for up, _ in x._terms) or any(len(lo) != p for _, lo in y._terms):
+        raise GradeError(f"factors do not contract at grade ({p},{p})")
+    total = _ZERO
+    terms = y._terms
+    for (up, lo), c in x._terms.items():
+        d = terms.get((lo, up))
+        if d is not None:
+            total = c * d if total is _ZERO else total + c * d
+    return total

@@ -17,10 +17,10 @@ throughout, so raised and lowered field indices coincide.
 A FieldPoly stores int numerators over one positive int denominator, in
 lowest terms (the content/primitive-part form of Geddes, Czapor and
 Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Products, powers,
-substitutions, derivatives and the frame sums all run in ints: each of
-L and L^-1 is read once per call, by _linalg._integer_rows, as int rows
-over one denominator.  Fractions appear only where a polynomial is built
-from rational coefficients, in the .terms view, and in str.
+substitutions, derivatives and the frame sums all run in ints: L and L^-1
+are the (int rows, den) pairs that FrameMap keeps from one Bareiss pass,
+read as they are.  Fractions appear only where a polynomial is built from
+rational coefficients, in the .terms view, and in str.
 
 All multi-index sums below run over strictly increasing tuples only; the
 1/p! weights that would accompany sums over all index orderings are
@@ -63,10 +63,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from ._linalg import _integer_rows, identity
-from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract
+from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract_product
 from .dkp import FrameMap, beta_mu
 
 __all__ = [
@@ -220,6 +221,8 @@ class FieldPoly:
 
     @classmethod
     def const(cls, c):
+        if isinstance(c, (int, Fraction)):  # already in lowest terms, den > 0
+            return cls._raw({(): c.numerator} if c else {}, c.denominator)
         return cls({(): c})
 
     @classmethod
@@ -482,7 +485,7 @@ def _validate(f: FieldPoly, p, n, kinds):
             raise RankError(f"symbol {s} of kind {s.kind!r} not allowed here")
         if len(s.index) != p:
             raise RankError(f"symbol {s} has rank {len(s.index)}, expected {p}")
-        if max(s.idx + s.index, default=0) > n:
+        if not all(1 <= x <= n for x in s.idx + s.index):
             raise RankError(f"symbol {s} has an index outside 1..{n}")
 
 
@@ -503,28 +506,25 @@ def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
 
 def _nabla(f: FieldPoly, p, n, kind, frame) -> AlgebraElement:
     """E([],I) -> df/dy[I] and E([c],I) -> sum_a m[a][c] df/dkind[a][I],
-    for m given as the (int rows, den) pair of _integer_rows.
+    for m given as an (int rows, den) pair.
 
     With kind 'pi' and m = 1 this is nabla f; with kind 'p' and m = L it is
-    nabla of f(p = L pi) by the chain rule, left in y/p symbols.  All
-    partials come from one _gradient of f, so the cost follows the terms of
-    f, not the (n+1) C(n,p) keys of Z_(p).
+    nabla of f(p = L pi) by the chain rule, left in y/p symbols.  The keys
+    are read off one _gradient of f, so the cost follows the terms of f,
+    not the (n+1) C(n,p) keys of Z_(p).
     """
     rows, den = frame
-    grad = _gradient(f)
-    terms = {}
-    for I in _multi_indices(n, p):
-        d = grad.get(FieldSymbol("y", (), I))
-        if d:
-            terms[BasisElement((), I)] = FieldPoly._make(d, f.den)
-        by_a = [(row, grad.get(FieldSymbol(kind, (a,), I))) for a, row in enumerate(rows, 1)]
-        for c in range(n):
-            out = {}
-            for row, d in by_a:
-                if d and row[c]:
-                    _mul_into(out, {(): row[c]}, d)
-            if out:
-                terms[BasisElement((c + 1,), I)] = FieldPoly._make(out, f.den * den)
+    terms, sums = {}, {}
+    for s, d in _gradient(f).items():
+        if s.kind == "y":
+            terms[BasisElement((), s.index)] = FieldPoly._make(d, f.den)
+        else:
+            for c, w in enumerate(rows[s.idx[0] - 1], 1):
+                if w:
+                    _mul_into(sums.setdefault(BasisElement((c,), s.index), {}), {(): w}, d)
+    for key, out in sums.items():
+        if out:
+            terms[key] = FieldPoly._make(out, f.den * den)
     return AlgebraElement._raw(n, terms)
 
 
@@ -534,8 +534,8 @@ def _adjoint_placed(el: AlgebraElement) -> AlgebraElement:
 
 
 def _frame_subst(f: FieldPoly, inverse) -> FieldPoly:
-    """pi[a][I] -> sum_b L^-1[a][b] p[b][I], with L^-1 given as the
-    (int rows, den) pair of _integer_rows."""
+    """pi[a][I] -> sum_b L^-1[a][b] p[b][I], with L^-1 given as an
+    (int rows, den) pair."""
     rows, den = inverse
     mapping = {s: FieldPoly._make({((FieldSymbol("p", (b,), s.index), 1),): w
                                    for b, w in enumerate(rows[s.idx[0] - 1], 1) if w}, den)
@@ -605,28 +605,33 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     identity (module docstring); deriving them from the DKP action is
     ROADMAP item 2.
 
-    L = A / s and L^-1 = B / t, for integer matrices A and B, are read once
-    each.  Raises ArithmeticError unless A B = s t I.
+    L = A / s and L^-1 = B / t, for integer matrices A and B, are the pairs
+    the frame map keeps.  Raises ArithmeticError unless A B = s t I.
     """
     _validate(h, p, n, ("y", "p", "pi"))
     if lam.n != n:
         raise RankError("frame map dimension must match n")
-    (a, s), (b, t) = _integer_rows(lam.lam), _integer_rows(lam.lam_inv)
-    if any(sum(x * y for x, y in zip(row, col)) != (s * t if i == j else 0)
-           for i, row in enumerate(a) for j, col in enumerate(zip(*b))):
+    (a, s), (b, t) = lam._rows, lam._inv_rows
+    cols, st = list(zip(*b)), s * t
+    if any(sum(map(mul, row, col)) != (st if i == j else 0)
+           for i, row in enumerate(a) for j, col in enumerate(cols)):
         raise ArithmeticError("frame map inverse is inconsistent: L L^-1 != 1")
     h = _frame_subst(h, (b, t))
     grad = _gradient(h)
+    zero = FieldPoly.zero()
 
     momentum = []
     field = []
-    for I in _multi_indices(n, p):
-        lhs = FieldPoly._raw({((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)})
-        rhs = -FieldPoly._make(grad.get(FieldSymbol("y", (), I), {}), h.den)
+    for I in _multi_indices(n, p):  # canonical, so the symbols need no check
+        lhs = FieldPoly._raw({((FieldSymbol("Dp", (mu, mu), I), 1),): 1
+                              for mu in range(1, n + 1)})
+        d = grad.get(FieldSymbol("y", (), I))
+        rhs = FieldPoly._make({m: -c for m, c in d.items()}, h.den) if d else zero
         momentum.append((I, lhs, rhs))
         for nu in range(1, n + 1):
-            rhs = FieldPoly._make(grad.get(FieldSymbol("p", (nu,), I), {}), h.den)
-            field.append(((nu, I), FieldPoly.of(dy_sym(nu, I)), rhs))
+            d = grad.get(FieldSymbol("p", (nu,), I))
+            rhs = FieldPoly._make(d, h.den) if d else zero
+            field.append(((nu, I), FieldPoly.of(FieldSymbol("Dy", (nu,), I)), rhs))
     return DwhEquations(n, p, momentum, field)
 
 
@@ -639,17 +644,17 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     Vacuum coefficient of contract((nabla_adjoint g') beta_mu (nabla f'), p)
     for g' = g(p = L pi) and f' = f(p = L pi).  The frame-momentum
     derivatives are taken by the chain rule (_nabla), so every coefficient
-    stays in y/p symbols and L^-1 enters only through beta_mu.  No 1/p!
-    weight appears: the canonical-multi-index sums in the derivative
-    operators absorb it.
+    stays in y/p symbols and L^-1 enters only through beta_mu.  Of the last
+    product only the E(I,I) keys that reach the vacuum are formed
+    (contract_product).  No 1/p! weight appears: the canonical-multi-index
+    sums in the derivative operators absorb it.
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
     beta = beta_mu(lam, mu, "lower_neg", n)
-    frame = _integer_rows(lam.lam)
-    left = _adjoint_placed(_nabla(g, p, n, "p", frame))
-    right = _nabla(f, p, n, "p", frame)
-    c = contract(left * beta * right, p).coefficient(BasisElement((), ()))
+    left = _adjoint_placed(_nabla(g, p, n, "p", lam._rows))
+    right = _nabla(f, p, n, "p", lam._rows)
+    c = contract_product(left * beta, right, p)
     return FieldPoly.const(c) if isinstance(c, Fraction) else c  # Fraction(0) if absent
 
 

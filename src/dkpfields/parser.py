@@ -26,6 +26,7 @@ product or power whose term count could exceed MAX_TERMS, is a ParseError.
 """
 
 import re
+from fractions import Fraction
 from math import comb
 
 from .fields import FieldPoly, RankError, symbol_poly
@@ -44,24 +45,17 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# every non-space character starts a match, so finditer skips only trailing space
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>pi|p|y)|(?P<punct>[\[\],()^*/+-]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>pi|p|y)|(?P<punct>[\[\],()^*/+-])|(?P<bad>\S))"
 )
 
 
 def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        start = m.start(m.lastgroup)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), start))
-        pos = m.end()
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(src)]
+    for kind, text, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
     tokens.append(("eof", "", len(src)))
     return tokens
 
@@ -144,8 +138,6 @@ class _Parser:
                 dkind, dtext, dpos = self.next()
                 if dkind != "num" or int(dtext) == 0:
                     raise ParseError("denominator must be a positive integer", dpos)
-                from fractions import Fraction
-
                 return FieldPoly.const(Fraction(num, int(dtext)))
             return FieldPoly.const(num)
         if kind == "name":

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields import algebra as al
-from dkpfields._linalg import SingularMatrixError, compound, identity, invert, mat_mul
+from dkpfields._linalg import MAX_ENTRY_DIGITS, SingularMatrixError, _read_entry, compound
+from dkpfields._linalg import identity, invert, mat_mul
 from dkpfields.algebra import (
     AlgebraElement,
     BasisElement,
@@ -407,6 +408,42 @@ def test_contract_grade_error():
         al.contract(E(2, [1], [1]), 2)
 
 
+def test_contract_product_matches_contract_of_product():
+    """Only the E(I,I) keys of x * y reach the vacuum: the diagonal-only
+    trace equals contract(x * y, p), off-diagonal keys and misses included."""
+    rng = random.Random(83)
+    zero = BasisElement((), ())
+    for n in range(1, 5):
+        subsets = [c for q in range(n + 1) for c in combinations(range(1, n + 1), q)]
+        for p in range(n + 1):
+            grade = [c for c in subsets if len(c) == p]
+            for _ in range(12):
+                coeff = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                x = {BasisElement(rng.choice(grade), rng.choice(subsets)): coeff()
+                     for _ in range(rng.randint(0, 6))}
+                y = {BasisElement(rng.choice(subsets), rng.choice(grade)): coeff()
+                     for _ in range(rng.randint(0, 3))}
+                # keys of y that meet half of x, on the diagonal of x * y and off it
+                for (i, k) in rng.sample(sorted(x), len(x) // 2):
+                    y[BasisElement(k, i)] = Fraction(rng.randint(1, 4), rng.randint(1, 5))
+                    y[BasisElement(k, rng.choice(grade))] = Fraction(rng.randint(1, 4))
+                x, y = AlgebraElement(n, x), AlgebraElement(n, y)
+                assert al.contract_product(x, y, p) == al.contract(x * y, p).coefficient(zero)
+
+
+def test_contract_product_grade_error():
+    x, y = E(2, [1], [2]), E(2, [2], [1])
+    assert al.contract_product(x, y, 1) == 1
+    with pytest.raises(GradeError):  # x has a term of upper grade 2, though it meets nothing
+        al.contract_product(x + E(2, [1, 2], [1, 2]), y, 1)
+    with pytest.raises(GradeError):
+        al.contract_product(x, y + E(2, [1], []), 1)
+    with pytest.raises(GradeError):
+        al.contract_product(x, y, 0)
+    with pytest.raises(DimensionMismatchError):
+        al.contract_product(x, E(3, [2], [1]), 1)
+
+
 def test_contract_word_delta_combination():
     """Grade-2 contraction of a raw word gives the two-delta combination."""
     n = 3
@@ -461,6 +498,29 @@ def test_text_form():
     # deterministic order: by (|J|, |K|, J, K)
     y = E(3, [1], [1]) + E(3, [], [2]) + E(3, [], [1])
     assert str(y) == "1 * E[|1] + 1 * E[|2] + 1 * E[1|1]"
+
+
+def test_matrix_entries_read_like_fraction():
+    """The shared entry reader takes Fraction's string syntax straight into ints."""
+    good = ["3", "-4", " +7 ", "0", "-0", "1/2", "-6/4", "1_000", "2/1_0", "1.5", "-.25", "3.",
+            "1e3", "1E-3", "2.5e-2", "-1.2e+2", "0.000", "  12/18\n", "1" + "0" * 99, "9e100",
+            "1e-100"]
+    for text in good:
+        want = Fraction(text)
+        assert _read_entry(text) == (want.numerator, want.denominator), text
+    for text in ["", "x", "1/", "/2", "1/2/3", "1.2/3", "e5", "1e", "--1", "1 2", "1.2.3"]:
+        with pytest.raises(ValueError):
+            Fraction(text)
+        with pytest.raises(ValueError, match="invalid matrix entry"):
+            _read_entry(text)
+    with pytest.raises(ZeroDivisionError):
+        _read_entry("1/0")
+    for text in ["1" * (MAX_ENTRY_DIGITS + 1), "1e101", "1e-101", "1e1000000", "1/" + "3" * 100]:
+        with pytest.raises(ValueError, match="above the cap"):
+            _read_entry(text)
+    assert _read_entry(Fraction(-3, 6)) == (-1, 2) and _read_entry(5) == (5, 1)
+    with pytest.raises(TypeError):
+        _read_entry(0.5)
 
 
 def test_metric_validation():

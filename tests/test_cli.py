@@ -172,6 +172,28 @@ def test_malformed_matrix_entries_exit_2(capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def test_hostile_matrix_entries_exit_2_fast():
+    """An entry above the cap exits 2 before any arithmetic.  Read as a
+    Fraction, "1e1000000" made derive-dwh run for 23 s and exit 0."""
+    src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
+    derive = ["derive-dwh", "--n", "2", "--p", "0", "--H", "y[]^2", "--lambda"]
+    argvs = [derive + ["1e1000000,0;0,1"], derive + ["1e10000000,0;0,1"],
+             ["bracket", "--n", "2", "--G", "y[]", "--F", "p[1][]", "--lambda", "1,9e101;0,1"],
+             ["verify", "--n", "2", "--suite", "dkp", "--metric", "1e10000000,0;0,1"]]
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "dkpfields", *argv],
+                              capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert "above the cap" in done.stderr, argv
+
+
+def test_matrix_entries_at_the_cap_are_read():
+    lam = "1" + "0" * 99 + ",0;0,1e100"
+    assert run_cli(["derive-dwh", "--n", "2", "--H", "y[]", "--lambda", lam])[0] == 0
+    assert run_cli(["verify", "--n", "2", "--suite", "dkp", "--metric", "1e-100,0;0,1"])[0] == 0
+
+
 def test_unknown_suite_exits_2_and_names_the_suites(capsys):
     assert run_cli(["verify", "--n", "2", "--suite", "nosuch"]) == (2, "")
     err = capsys.readouterr().err

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from dkpfields import algebra as al
-from dkpfields._linalg import identity, mat_mul, transpose
+from dkpfields._linalg import _bareiss, identity, invert, mat_mul, transpose
 from dkpfields.algebra import Metric, SingularMatrixError
 from dkpfields.dkp import (
     FAMILIES,
@@ -170,6 +170,28 @@ def test_frame_map_requires_invertible():
     with pytest.raises(SingularMatrixError):
         FrameMap([[1, 2], [2, 4]])
 
+
+def test_frame_map_pairs_are_canonical_with_positive_den():
+    """L and L^-1 are kept as (int rows, den > 0) pairs equal to the Fraction
+    matrices.  For -1,0;1,1 the last Bareiss pivot is -1, so the inverse's
+    sign is moved into its rows."""
+    rows = [[-1, 0, 1, 0], [1, 1, 0, 1]]
+    assert _bareiss(rows) == -1 and rows[0][0] == -1
+    for lam in (FrameMap([[-1, 0], [1, 1]]), FrameMap([["-1", "0"], ["1", "1"]])):
+        assert lam._rows == ([[-1, 0], [1, 1]], 1)
+        assert lam._inv_rows == ([[-1, 0], [1, 1]], 1)
+        assert lam.lam_inv == invert(lam.lam) == invert([[-1, 0], [1, 1]])
+    rng = random.Random(89)
+    for n in range(1, 5):
+        for _ in range(5):
+            lam = rand_frame(n, rng)
+            (a, s), (b, t) = lam._rows, lam._inv_rows
+            assert s > 0 and t > 0
+            assert lam.lam == tuple(tuple(Fraction(x, s) for x in row) for row in a)
+            assert lam.lam_inv == tuple(tuple(Fraction(x, t) for x in row) for row in b)
+            assert lam.lam_inv == invert(lam.lam)
+            text = FrameMap([[str(x) for x in row] for row in lam.lam])
+            assert text == lam and text._inv_rows == lam._inv_rows
 
 def test_beta_mu_identity_frame():
     n = 3

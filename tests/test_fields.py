@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dkpfields
-from dkpfields._linalg import SingularMatrixError, _integer_rows, invert
+from dkpfields._linalg import SingularMatrixError, _integer_rows, identity, invert
 from dkpfields.algebra import BasisElement
 from dkpfields.dkp import FrameMap
 from dkpfields.fields import (
@@ -279,7 +279,7 @@ from dkpfields.fields import dwh_derive
 from dkpfields.parser import parse_expr
 
 lam = FrameMap([[2, 1], [1, 1]])
-lam.lam_inv = FrameMap([[1, 1], [0, 1]]).lam_inv
+lam._inv_rows = FrameMap([[1, 1], [0, 1]])._inv_rows
 try:
     eqs = dwh_derive(parse_expr("y[]*p[1][] + p[2][]^2", 2, 0), 0, lam, 2)
 except ArithmeticError:
@@ -749,6 +749,60 @@ def test_nabla_matches_reference_scan():
             assert {be: c.terms for be, c in got.terms()} == {be: c for be, c in want.items() if c}
             for _, c in got.terms():
                 _assert_canonical(c)
+
+
+def _ref_nabla_by_keys(f, p, n, kind, m):
+    """The key enumeration the gradient walk replaced: every (n+1) C(n,p)
+    key of Z_(p) against every row of the Fraction matrix m, through
+    partial and Fraction sums."""
+    want = {}
+    for I in combinations(range(1, n + 1), p):
+        want[BasisElement((), I)] = f.partial(y_sym(I))
+        for c in range(1, n + 1):
+            want[BasisElement((c,), I)] = sum(
+                (m[a - 1][c - 1] * f.partial(FieldSymbol(kind, (a,), I)) for a in range(1, n + 1)),
+                FieldPoly.zero())
+    return {be: d for be, d in want.items() if d}
+
+
+def _dense_frame(rng, n):
+    """Invertible frame whose entries are all nonzero, most not integers."""
+    while True:
+        try:
+            nums = (-5, -3, -2, -1, 1, 2, 3, 4)
+            return FrameMap([[Fraction(rng.choice(nums), rng.randint(1, 6)) for _ in range(n)]
+                             for _ in range(n)])
+        except SingularMatrixError:
+            continue
+
+
+def test_nabla_gradient_walk_matches_key_enumeration():
+    """_nabla walks the gradient of f; the keys it forms, and their
+    canonical coefficients, equal the enumeration of every key and row."""
+    rng = random.Random(97)
+    for n in range(1, 6):
+        for p in range(min(n, 2) + 1):
+            for _ in range(4):
+                lam = _dense_frame(rng, n)
+                f = rand_field_poly(n, p, rng, nterms=5, deg=3)
+                got = dict(_nabla(f, p, n, "p", lam._rows).terms())
+                assert got == _ref_nabla_by_keys(f, p, n, "p", lam.lam)
+                f_pi = FieldPoly({tuple((pi_sym(*s.idx, s.index) if s.kind == "p" else s, e)
+                                        for s, e in mono): c for mono, c in f.terms.items()})
+                got_pi = dict(nabla(f_pi, p, n).terms())
+                assert got_pi == _ref_nabla_by_keys(f_pi, p, n, "pi", identity(n))
+                for d in (*got.values(), *got_pi.values()):
+                    _assert_canonical(d)
+
+
+def test_symbol_index_below_one_is_refused():
+    """A leading index 0 would select frame row -1; every entry point refuses it."""
+    lam = FrameMap([[2, 1], [1, 1]])
+    for kind, call in (("p", lambda f: bracket(f, Y(), 1, 0, lam, 2)),
+                       ("p", lambda f: dwh_derive(f, 0, lam, 2)),
+                       ("pi", lambda f: nabla(f, 0, 2))):
+        with pytest.raises(RankError, match="outside 1..2"):
+            call(FieldPoly.of(FieldSymbol(kind, (0,), ())) * Y())
 
 
 def test_bracket_closed_form_matches_reference_scan():
