@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report shape, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -19,12 +20,21 @@ from dkpfields.fields import FieldPoly
 
 
 def run_cli(argv):
-    import contextlib
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+def run_argv(argv):
+    """(exit code, stdout, stderr) of main(argv); argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_dims_table():
@@ -369,3 +379,45 @@ def test_one_group_body_fails_verify_and_acceptance(monkeypatch):
     assert "FAIL dkp/frame relation, generic frames (induced metric)" in out
     with pytest.raises(AssertionError, match="generic frames"):
         test_acceptance.test_criterion_05_frame_relation()
+
+
+# argv that argparse answers with help or a usage error, and two that run;
+# their exit codes and output are pinned in ARGV_PINS
+PINNED_ARGVS = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["derive-dwh", "--n", "2", "--H", "y[]", "--bogus", "1"],
+    ["derive-dwh", "--n", "2", "--H", "y[]", "stray"],
+    ["derive-dwh", "--n", "2", "--H", "y[]", "--", "stray"],
+    ["derive-dwh", "--n", "x", "--H", "y[]"],
+    ["derive-dwh", "--n", "2", "--H", "y[]", "--format", "xml"],
+    ["derive-dwh", "-h"],
+    ["derive-dwh", "--n", "2", "--H", "y[]^2", "--lam=1,0;0,1"],
+    ["derive-dwh", "--n", "2", "--p", "3", "--H", "y[]"],
+    ["derive-dwh", "--H", "y[]"],
+    ["bracket", "--n", "2", "--mu", "3", "--G", "y[]", "--F", "p[1][]"],
+    ["bracket", "--n=2", "--G=y[]", "--F=p[1][]", "--format=json", "extra"],
+    ["dims", "--n", "2", "--p", "1"],
+    ["verify", "--n", "2", "--seed", "1.5"],
+]
+ARGV_PINS = pathlib.Path(__file__).with_name("argv_pins.json")
+
+
+def test_argv_behaviour_is_pinned(monkeypatch):
+    """Help, usage errors and abbreviated options, byte for byte.
+
+    Regenerate after a deliberate change with PYTHONPATH=src python tests/test_cli.py.
+    """
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    pins = json.loads(ARGV_PINS.read_text())
+    assert [pin["argv"] for pin in pins] == PINNED_ARGVS
+    for pin in pins:
+        assert run_argv(pin["argv"]) == (pin["exit"], pin["stdout"], pin["stderr"]), pin["argv"]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    pins = [dict(zip(("argv", "exit", "stdout", "stderr"), (argv, *run_argv(argv))))
+            for argv in PINNED_ARGVS]
+    ARGV_PINS.write_text(json.dumps(pins, indent=1) + "\n")
