@@ -17,13 +17,22 @@ emits a stable sorted-key document.  Exit codes: 0 pass, 1 check failure,
 One size policy holds for every subcommand: a request whose answer would
 be too large exits 2 before any work.  verify stops at VERIFY_MAX_N; dims
 prints n + 1 rows, and derive-dwh and bracket work over the (n + 1) C(n, p)
-keys of Z_(p), each at most the parser's MAX_TERMS.
+keys of Z_(p) and an n x n frame, each at most the parser's MAX_TERMS.
+
+The text around the answer costs no more than it must.  An argv that
+starts with a subcommand name is parsed by that subcommand's parser alone,
+which is what the top-level parser would hand it; anything else (no
+argv, -h, an unknown name) takes the full argparse pass.  The one report
+shape is written as JSON directly, byte for byte what
+json.dumps(report, indent=2, sort_keys=True) writes, with each string
+quoted by json's C encoder; json.dumps with an indent walks the document
+in pure Python.
 """
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
 
 from . import algebra as al
@@ -43,14 +52,19 @@ class UsageError(ValueError):
 VERIFY_MAX_N = 5
 
 
-def _check_size(n, p):
-    """UsageError when (n + 1) C(n, p) exceeds MAX_TERMS; C(n, 0) = 1 for dims."""
+def _check_size(n, p, frame):
+    """UsageError when (n + 1) C(n, p), or the n^2 entries of a frame if the
+    command takes one, exceed MAX_TERMS; C(n, 0) = 1 for dims."""
     size = n + 1
     if size <= MAX_TERMS:  # bounds the binomial that is computed
         size *= comb(n, p)
     if size > MAX_TERMS:
         raise UsageError(
             f"n={n}, p={p} asks for (n+1)*C(n,p) = {size} entries, above the cap {MAX_TERMS}"
+        )
+    if frame and n * n > MAX_TERMS:
+        raise UsageError(
+            f"n={n} asks for an n x n frame of {n * n} entries, above the cap {MAX_TERMS}"
         )
 
 
@@ -93,9 +107,41 @@ def _report(command, params, results, checks_run, checks_failed):
     }
 
 
+def _json_value(value):
+    """A str or an int as JSON; any other type is a TypeError."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"report value {value!r} is neither str nor int")
+
+
+def _json(report):
+    """json.dumps(report, indent=2, sort_keys=True) for the shape _report builds:
+    str or int params, and results of detail/name/status strings."""
+    params = ",\n".join(f"    {_json_str(k)}: {_json_value(v)}"
+                        for k, v in sorted(report["params"].items()))
+    results = ",\n".join(
+        f'    {{\n      "detail": {_json_str(r["detail"])},\n'
+        f'      "name": {_json_str(r["name"])},\n'
+        f'      "status": {_json_str(r["status"])}\n    }}'
+        for r in report["results"]
+    )
+    return "\n".join([
+        "{",
+        f'  "checks_failed": {_json_value(report["checks_failed"])},',
+        f'  "checks_run": {_json_value(report["checks_run"])},',
+        f'  "command": {_json_str(report["command"])},',
+        f'  "params": {{\n{params}\n  }},' if params else '  "params": {},',
+        f'  "pass": {"true" if report["pass"] else "false"},',
+        f'  "results": [\n{results}\n  ]' if results else '  "results": []',
+        "}",
+    ])
+
+
 def _emit(report, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(report, indent=2, sort_keys=True))
+        out.write(_json(report))
         out.write("\n")
         return
     out.write(f"command: {report['command']}\n")
@@ -245,7 +291,7 @@ def _build_parser():
     pb.add_argument("--G")
     pb.add_argument("--F")
     pb.add_argument("--lambda", dest="lam", default="identity")
-    return parser
+    return parser, sub.choices
 
 
 _VALUE_OPTIONS = ("--H", "--G", "--F", "--metric", "--lambda")
@@ -264,9 +310,31 @@ def _glue_values(argv):
     return out
 
 
+_HANDLERS = {
+    "verify": _cmd_verify,
+    "dims": _cmd_dims,
+    "derive-dwh": _cmd_derive_dwh,
+    "bracket": _cmd_bracket,
+}
+
+
+def _parse_args(argv):
+    """parser.parse_args(argv), parsing a leading subcommand name with that
+    subcommand's parser alone.  Left-over words get the top-level parser's
+    usage error, as parse_args gives them."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser, parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return parser, args
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
+    parser, args = _parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     if args.n < 1:
         parser.exit(2, "error: --n must be >= 1\n")
     p_rank = getattr(args, "p", 0)
@@ -275,16 +343,10 @@ def main(argv=None):
     mu = getattr(args, "mu", 1)
     if not 1 <= mu <= args.n:
         parser.exit(2, f"error: --mu must be in 1..{args.n}\n")
-    handlers = {
-        "verify": _cmd_verify,
-        "dims": _cmd_dims,
-        "derive-dwh": _cmd_derive_dwh,
-        "bracket": _cmd_bracket,
-    }
     try:
         if args.command != "verify":
-            _check_size(args.n, p_rank)
-        return handlers[args.command](args, sys.stdout)
+            _check_size(args.n, p_rank, frame=args.command != "dims")
+        return _HANDLERS[args.command](args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -285,7 +285,10 @@ class FieldPoly:
         """self**e by the multinomial theorem, one term per composition of e.
 
         A t-term polynomial costs C(e + t - 1, t - 1) monomial merges, the
-        bound the parser checks before it expands a power.
+        bound the parser checks before it expands a power.  One term c m / d
+        goes straight to c**e m**e / d**e, already canonical: gcd(c, d) = 1
+        gives gcd(c**e, d**e) = 1, and scaling the exponents of m keeps its
+        factors sorted.
         """
         if e < 0:
             raise ValueError("negative power")
@@ -293,6 +296,9 @@ class FieldPoly:
             return FieldPoly.const(1)
         if e == 1 or not self.num:
             return self
+        if len(self.num) == 1:
+            ((m, c),) = self.num.items()
+            return FieldPoly._raw({tuple((s, x * e) for s, x in m): c**e}, self.den**e)
         powers = [[((), 1), (m, c)] + [(tuple((s, x * k) for s, x in m), c**k)
                                        for k in range(2, e + 1)]
                   for m, c in self.num.items()]
@@ -530,7 +536,7 @@ def _nabla(f: FieldPoly, p, n, kind, frame) -> AlgebraElement:
 
 def _adjoint_placed(el: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._raw(el.n, {BasisElement(be.lower, be.upper): c
-                                      for be, c in el.terms()})
+                                      for be, c in el._terms.items()})
 
 
 def _frame_subst(f: FieldPoly, inverse) -> FieldPoly:

@@ -23,6 +23,13 @@ dimension n and the rank p of the surrounding context.
 
 Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
 product or power whose term count could exceed MAX_TERMS, is a ParseError.
+
+A symbol is one token: the tokenizer reads the name with its bracket
+groups, so p[1][2,4] is one regex match, and the parser reads the
+leading index, the multi-index and the rank off the match groups.  Every
+error in a symbol is reported at an offset inside it: the first index or
+character that leaves the grammar, an index outside 1..n, or the '[' that
+is not closed.
 """
 
 import re
@@ -45,18 +52,28 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# every non-space character starts a match, so finditer skips only trailing space
+# every non-space character starts a match, so finditer skips only trailing
+# space.  A symbol is its name and the bracket groups that close after it; a
+# '[' after those takes the rest of the input into the token, so that
+# symbol() reports it before any later character is read
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>pi|p|y)|(?P<punct>[\[\],()^*/+-])|(?P<bad>\S))"
+    r"\s*(?:(?P<num>\d+)"
+    r"|(?P<sym>(?P<name>pi|p|y)(?:\s*\[(?P<g1>[^\[\]]*)\])?(?:\s*\[(?P<g2>[^\[\]]*)\])?"
+    r"(?:\s*(?P<open>\[(?s:.*)))?)"
+    r"|(?P<punct>[()^*/+-])|(?P<bad>\S))"
 )
+# inside a bracket group: one index, possibly absent, and the character after it
+_INDEX = re.compile(r"\s*(\d*)\s*(\S?)")
 
 
 def _tokenize(src):
-    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(src)]
-    for kind, text, pos in tokens:
+    """(kind, text, offset, match) for every token, then an eof token."""
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup), m)
+              for m in _TOKEN.finditer(src)]
+    for kind, text, pos, _ in tokens:
         if kind == "bad":
             raise ParseError(f"unexpected character {text!r}", pos)
-    tokens.append(("eof", "", len(src)))
+    tokens.append(("eof", "", len(src), None))
     return tokens
 
 
@@ -77,13 +94,13 @@ class _Parser:
         return tok
 
     def expect(self, value):
-        kind, text, pos = self.next()
+        kind, text, pos, _ = self.next()
         if text != value:
             raise ParseError(f"expected {value!r}, got {text or 'end of input'!r}", pos)
 
     def parse(self):
         poly = self.expr()
-        kind, text, pos = self.peek()
+        kind, text, pos, _ = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing {text!r}", pos)
         return poly
@@ -109,7 +126,7 @@ class _Parser:
         poly = self.primary()
         while self.peek()[1] == "^":
             self.next()
-            kind, text, pos = self.next()
+            kind, text, pos, _ = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", pos)
             e, t = int(text), len(poly)
@@ -121,74 +138,75 @@ class _Parser:
         return poly
 
     def primary(self):
-        kind, text, pos = self.peek()
+        kind, text, pos, m = self.next()
+        if kind == "sym":
+            return self.symbol(m)
         if text == "-":
-            self.next()
             return -self.factor()
         if text == "(":
-            self.next()
             poly = self.expr()
             self.expect(")")
             return poly
         if kind == "num":
-            self.next()
             num = int(text)
             if self.peek()[1] == "/":
                 self.next()
-                dkind, dtext, dpos = self.next()
+                dkind, dtext, dpos, _ = self.next()
                 if dkind != "num" or int(dtext) == 0:
                     raise ParseError("denominator must be a positive integer", dpos)
                 return FieldPoly.const(Fraction(num, int(dtext)))
             return FieldPoly.const(num)
-        if kind == "name":
-            return self.symbol()
         raise ParseError(f"expected a factor, got {text or 'end of input'!r}", pos)
 
-    def symbol(self):
-        kind, name, pos = self.next()
+    def symbol(self, m):
+        """y[I], or pi[a] / p[a] with an optional [I], from one token's match."""
+        name, pos = m["name"], m.start("name")
+        if m["open"] is not None and m["g2"] is None:
+            raise ParseError("'[' without a closing ']'", m.start("open"))
+        if m["g1"] is None:
+            raise ParseError(f"{name} needs an index group '[..]'", pos)
+        if name == "y" and m["g2"] is not None:
+            raise ParseError("y takes one index group", m.start("g2") - 1)
+        if m["open"] is not None:
+            raise ParseError(f"{name} takes at most two index groups", m.start("open"))
         if name == "y":
-            seq = self.idx_group(pos)
-            return self.make("y", (), seq, pos)
-        # pi / p carry one leading index, then an optional multi-index group
-        self.expect("[")
-        akind, atext, apos = self.next()
-        if akind != "num":
-            raise ParseError(f"{name} needs a numeric index", apos)
-        a = int(atext)
-        if not 1 <= a <= self.n:
-            raise ParseError(f"index {a} outside 1..{self.n}", apos)
-        self.expect("]")
-        if self.peek()[1] == "[":
-            seq = self.idx_group(pos)
+            idx, seq = (), self.multi_index(m.start("g1"), m.end("g1"))
         else:
-            seq = ()
-        return self.make(name, (a,), seq, pos)
-
-    def idx_group(self, at):
-        self.expect("[")
-        seq = []
-        if self.peek()[1] != "]":
-            while True:
-                kind, text, pos = self.next()
-                if kind != "num":
-                    raise ParseError("expected an index", pos)
-                x = int(text)
-                if not 1 <= x <= self.n:
-                    raise ParseError(f"index {x} outside 1..{self.n}", pos)
-                seq.append(x)
-                if self.peek()[1] == ",":
-                    self.next()
-                    continue
-                break
-        self.expect("]")
-        return tuple(seq)
-
-    def make(self, kindname, idx, seq, pos):
+            lead = _INDEX.match(self.src, m.start("g1"), m.end("g1"))
+            if not lead[1]:
+                raise ParseError(f"{name} needs a numeric index", lead.start(1))
+            if lead[2]:
+                raise ParseError(f"expected ']', got {lead[2]!r}", lead.start(2))
+            idx = (self.index(lead),)
+            seq = () if m["g2"] is None else self.multi_index(m.start("g2"), m.end("g2"))
         if len(seq) != self.p:
             raise RankError(
                 f"symbol at offset {pos} has rank {len(seq)}, context expects {self.p}"
             )
-        return symbol_poly(kindname, idx, seq, self.n)
+        return symbol_poly(name, idx, seq, self.n)
+
+    def multi_index(self, start, end):
+        """The comma-separated indices of src[start:end], the inside of a group."""
+        item = _INDEX.match(self.src, start, end)
+        if not item[0].strip():
+            return ()
+        seq = []
+        while True:
+            if not item[1]:
+                raise ParseError("expected an index", item.start(1))
+            seq.append(self.index(item))
+            if item[2] != ",":
+                if item[2]:
+                    raise ParseError(f"expected ',' or ']', got {item[2]!r}", item.start(2))
+                return tuple(seq)
+            item = _INDEX.match(self.src, item.end(), end)
+
+    def index(self, item):
+        """The index an _INDEX match read, checked against 1..n."""
+        x = int(item[1])
+        if not 1 <= x <= self.n:
+            raise ParseError(f"index {x} outside 1..{self.n}", item.start(1))
+        return x
 
 
 def _check_terms(bound, pos):

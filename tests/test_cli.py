@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -356,6 +357,31 @@ def test_size_policy_bound_is_exact(monkeypatch, capsys):
         run_cli(["dims", "--n", "4"])
 
 
+def test_frame_size_exits_2_before_any_frame_work(monkeypatch, capsys):
+    """derive-dwh and bracket count the n^2 entries of the frame against the
+    cap, identity frame included; dims takes no frame."""
+    _stub_work(monkeypatch)
+    for argv in (["derive-dwh", "--n", "101", "--p", "0", "--H", "y[]"],
+                 ["bracket", "--n", "101", "--G", "y[]", "--F", "y[]"]):
+        assert run_cli(argv) == (2, ""), argv
+        assert "frame of 10201 entries, above the cap 10000" in capsys.readouterr().err
+    for argv in (["derive-dwh", "--n", "100", "--p", "0", "--H", "y[]"], ["dims", "--n", "101"]):
+        with pytest.raises(_Reached):
+            run_cli(argv)
+
+
+def test_huge_frame_exits_2_within_a_second():
+    """At n = 9999 the keys of Z_(0) fit the cap but the frame does not."""
+    src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "dkpfields", "derive-dwh", "--n", "9999", "--p", "0", "--H", "y[]"],
+        capture_output=True, text=True, timeout=1,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "above the cap 10000" in done.stderr
+
+
 def test_verify_lambda_above_frame_size_exits_2(monkeypatch, capsys):
     """Above n = 3 the bracket groups would ignore --lambda, so verify refuses it."""
     def no_suites(*args, **kwargs):
@@ -379,6 +405,59 @@ def test_one_group_body_fails_verify_and_acceptance(monkeypatch):
     assert "FAIL dkp/frame relation, generic frames (induced metric)" in out
     with pytest.raises(AssertionError, match="generic frames"):
         test_acceptance.test_criterion_05_frame_relation()
+
+
+def _reports(monkeypatch, argvs):
+    """The report dict of each argv, as the handler passes it to _emit."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: seen.append(report))
+    for argv in argvs:
+        main(argv)
+    return seen
+
+
+def _dumps(report):
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_json_dumps_on_every_subcommand(monkeypatch):
+    reports = _reports(monkeypatch, [
+        ["verify", "--n", "2", "--suite", "dkp", "--seed", "3", "--metric", "2,1;1,1"],
+        ["dims", "--n", "3"],
+        ["derive-dwh", "--n", "2", "--p", "1", "--H", "y[1]*p[1][1] - 1/2*p[2][2]^2",
+         "--lambda", "1,1;0,1"],
+        ["bracket", "--n", "2", "--p", "0", "--mu", "2", "--G", "y[]^2", "--F", "p[2][]"],
+    ])
+    reports += [cli._report("verify", {"n": 1}, [], 0, 0), cli._report("dims", {}, [], 1, 1)]
+    assert [r["command"] for r in reports] == ["verify", "dims", "derive-dwh", "bracket",
+                                               "verify", "dims"]
+    for report in reports:
+        assert cli._json(report) == _dumps(report)
+
+
+def test_json_writer_matches_json_dumps_on_hostile_strings():
+    """Quotes, backslashes, control characters and non-ASCII text, escaped
+    as json.dumps escapes them."""
+    rng = random.Random(23)
+    alphabet = ('a', 'Z', '0', ' ', '"', "\\", '/', '\n', '\t', '\x00', '\x1f', '\x7f',
+                'é', 'π', '∂', '\u2028', '\ud800', '😀', '{', ']', ',', ':')
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+
+    for _ in range(300):
+        params = {text(): rng.choice((text(), rng.randint(-10**30, 10**30)))
+                  for _ in range(rng.randint(0, 4))}
+        results = [{"name": text(), "status": rng.choice(("PASS", "FAIL", text())),
+                    "detail": text()} for _ in range(rng.randint(0, 3))]
+        failed = rng.randint(0, 3)
+        report = cli._report(text(), params, results, rng.randint(0, 10**6), failed)
+        assert cli._json(report) == _dumps(report), report
+
+
+def test_json_writer_refuses_a_float():
+    with pytest.raises(TypeError):
+        cli._json(cli._report("dims", {"n": 2.0}, [], 0, 0))
 
 
 # argv that argparse answers with help or a usage error, and two that run;

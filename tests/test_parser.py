@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields.fields import FieldPoly, RankError, p_sym, pi_sym, y_sym
-from dkpfields.parser import MAX_EXPONENT, MAX_TERMS, ParseError, parse_expr
+from dkpfields.parser import MAX_EXPONENT, MAX_TERMS, ParseError, _tokenize, parse_expr
 
 Y = lambda *I: FieldPoly.of(y_sym(I))
 PI = lambda a, *I: FieldPoly.of(pi_sym(a, I))
@@ -86,6 +88,54 @@ def test_index_out_of_range():
         parse_expr("y[3]", 2, 1)
     with pytest.raises(ParseError):
         parse_expr("pi[4][1]", 3, 1)
+
+
+def test_symbol_is_one_token():
+    """A symbol and its bracket groups are one token, whitespace allowed inside."""
+    assert [tok[0] for tok in _tokenize("p[1][2,4]")] == ["sym", "eof"]
+    assert parse_expr("p [ 1 ] [ 2 , 4 ]", 4, 2) == parse_expr("p[1][2,4]", 4, 2) == P(1, 2, 4)
+    assert parse_expr(" y [ 2 ,1 ]^2*pi [3]\t[ 1, 2 ] ", 3, 2) == Y(1, 2) ** 2 * PI(3, 1, 2)
+
+
+@pytest.mark.parametrize("src, n, p, pos", [
+    ("y[1", 2, 1, 1),             # the '[' that is not closed
+    ("p[x]", 2, 0, 2),
+    ("pi[1][1,]", 2, 1, 8),
+    ("y[1][2]", 2, 1, 4),
+    ("pi", 2, 0, 0),
+    ("p[]", 2, 0, 2),
+    ("p[1,2]", 2, 0, 3),
+    ("y[1 2]", 3, 2, 4),
+    ("pi[1][1,", 2, 1, 5),
+    ("p[1][2][3]", 3, 1, 7),
+])
+def test_symbol_errors_point_inside_the_symbol(src, n, p, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr("1 + " + src, n, p)
+    assert err.value.pos == 4 + pos
+    assert 4 <= err.value.pos < 4 + len(src)
+
+
+def test_out_of_range_index_reports_its_offset():
+    cases = [("y[1,5]", 2, 4), ("y[ 1 , 2 ,  9 ]", 3, 12), ("pi[4][1]", 1, 3),
+             ("p[1][2, 7]", 2, 8), ("p[ 0 ]", 0, 3)]
+    for src, p, pos in cases:
+        with pytest.raises(ParseError, match="outside 1..3") as err:
+            parse_expr(src, 3, p)
+        assert err.value.pos == pos, src
+
+
+def test_one_term_power_equals_repeated_multiplication():
+    rng = random.Random(11)
+    syms = [y_sym((1,)), y_sym((2,)), p_sym(2, (1,)), pi_sym(1, (3,)), p_sym(3, (2,))]
+    t = Fraction(3, 4) * Y(1) * Y(1) * P(2, 1)
+    assert t**5 == reduce(mul, [t] * 5)
+    for _ in range(200):
+        mono = FieldPoly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40)))
+        for s in rng.sample(syms, rng.randint(0, 3)):
+            mono = reduce(mul, [FieldPoly.of(s)] * rng.randint(1, 3), mono)
+        e = rng.randint(2, 9)
+        assert mono**e == reduce(mul, [mono] * e)  # == compares the canonical num / den
 
 
 def test_rank_mismatch():
