@@ -19,11 +19,11 @@ be too large exits 2 before any work.  verify stops at VERIFY_MAX_N; dims
 prints n + 1 rows, and derive-dwh and bracket work over the (n + 1) C(n, p)
 keys of Z_(p) and an n x n frame, each at most the parser's MAX_TERMS.
 
-The text around the answer costs no more than it must.  An argv that
-starts with a subcommand name is parsed by that subcommand's parser alone,
-which is what the top-level parser would hand it; anything else (no
-argv, -h, an unknown name) takes the full argparse pass.  The one report
-shape is written as JSON directly, byte for byte what
+Reading argv and writing the report stay cheap beside the answer.  An
+argv that starts with a subcommand name is parsed by that subcommand's
+parser alone, which is what the top-level parser would hand it; anything
+else (no argv, -h, an unknown name) takes the full argparse pass.  The one
+report shape is written as JSON directly, byte for byte what
 json.dumps(report, indent=2, sort_keys=True) writes, with each string
 quoted by json's C encoder; json.dumps with an indent walks the document
 in pure Python.
