@@ -329,12 +329,17 @@ def test_size_policy_exits_2_before_any_work(monkeypatch, capsys):
         ["derive-dwh", "--n", "30", "--p", "15", "--H", "1"],
         ["bracket", "--n", "30", "--p", "15", "--G", "y[]", "--F", "y[]"],
         ["dims", "--n", str(cli.MAX_TERMS)],
+        # the n^2 entries of a frame, identity included: 10 201 at n = 101
+        ["derive-dwh", "--n", "101", "--p", "0", "--H", "y[]"],
+        ["bracket", "--n", "101", "--G", "y[]", "--F", "y[]"],
     ]
     for argv in over:
         assert run_cli(argv) == (2, ""), argv
         assert f"above the cap {cli.MAX_TERMS}" in capsys.readouterr().err
-    with pytest.raises(_Reached):
-        run_cli(["dims", "--n", str(cli.MAX_TERMS - 1)])
+    for argv in (["dims", "--n", str(cli.MAX_TERMS - 1)],
+                 ["derive-dwh", "--n", "100", "--p", "0", "--H", "y[]"]):
+        with pytest.raises(_Reached):
+            run_cli(argv)
 
 
 def test_size_policy_bound_is_exact(monkeypatch, capsys):
@@ -355,19 +360,6 @@ def test_size_policy_bound_is_exact(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_TERMS", 5)
     with pytest.raises(_Reached):
         run_cli(["dims", "--n", "4"])
-
-
-def test_frame_size_exits_2_before_any_frame_work(monkeypatch, capsys):
-    """derive-dwh and bracket count the n^2 entries of the frame against the
-    cap, identity frame included; dims takes no frame."""
-    _stub_work(monkeypatch)
-    for argv in (["derive-dwh", "--n", "101", "--p", "0", "--H", "y[]"],
-                 ["bracket", "--n", "101", "--G", "y[]", "--F", "y[]"]):
-        assert run_cli(argv) == (2, ""), argv
-        assert "frame of 10201 entries, above the cap 10000" in capsys.readouterr().err
-    for argv in (["derive-dwh", "--n", "100", "--p", "0", "--H", "y[]"], ["dims", "--n", "101"]):
-        with pytest.raises(_Reached):
-            run_cli(argv)
 
 
 def test_huge_frame_exits_2_within_a_second():
