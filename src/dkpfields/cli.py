@@ -96,6 +96,11 @@ def _frame(args):
         raise UsageError(f"invalid frame map: {exc}") from exc
 
 
+def _unprintable():
+    return UsageError(f"the answer has a coefficient of more than {sys.get_int_max_str_digits()} "
+                      "digits, the interpreter's limit for printing an integer")
+
+
 def _report(command, params, results, checks_run, checks_failed):
     return {
         "command": command,
@@ -209,10 +214,13 @@ def _cmd_derive_dwh(args, out):
         eqs = dwh_derive(h, args.p, lam, args.n)
     except (ParseError, RankError) as exc:
         raise UsageError(str(exc)) from exc
-    results = [
-        {"name": label, "status": "PASS", "detail": f"{lhs} = {rhs}"}
-        for label, lhs, rhs in eqs.equations()
-    ]
+    try:
+        results = [
+            {"name": label, "status": "PASS", "detail": f"{lhs} = {rhs}"}
+            for label, lhs, rhs in eqs.equations()
+        ]
+    except ValueError as exc:  # only int-to-str conversion raises it here
+        raise _unprintable() from exc
     report = _report(
         "derive-dwh",
         {"n": args.n, "p": args.p, "H": args.H, "lambda": args.lam},
@@ -236,11 +244,14 @@ def _cmd_bracket(args, out):
     except (ParseError, RankError) as exc:
         raise UsageError(str(exc)) from exc
     agree = value == closed
-    results = [
-        {"name": "bracket", "status": "PASS", "detail": str(value)},
-        {"name": "closed form agreement", "status": "PASS" if agree else "FAIL",
-         "detail": str(closed)},
-    ]
+    try:
+        results = [
+            {"name": "bracket", "status": "PASS", "detail": str(value)},
+            {"name": "closed form agreement", "status": "PASS" if agree else "FAIL",
+             "detail": str(closed)},
+        ]
+    except ValueError as exc:  # only int-to-str conversion raises it here
+        raise _unprintable() from exc
     report = _report(
         "bracket",
         {"n": args.n, "p": args.p, "mu": args.mu, "G": args.G, "F": args.F,

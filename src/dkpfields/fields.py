@@ -57,10 +57,13 @@ construction: in y/p symbols the derivative side of each equation is
 contracted with L L^-1, so it is sum_mu d[mu]p[mu][I] or d[nu]y[I] when
 L L^-1 = 1.  dwh_derive checks that identity once per call with an
 explicit raise (python -O keeps it) and writes those forms directly.
+Everything in the equations that depends on (n, p) alone, the symbols,
+the left-hand sides and the labels, is built once per shape and shared by
+every derivation of that shape, so a call pays only for the gradient of H.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
@@ -184,7 +187,8 @@ class FieldPoly:
     Fractions appear only at the boundary: the constructor takes
     {monomial: Fraction or int}, sorts the factors of each monomial and
     adds up terms that then coincide; .terms is the {monomial: Fraction}
-    view; str prints each coefficient as a reduced Fraction.
+    view; str prints each coefficient as a reduced Fraction, and the text is
+    kept after the first str, which immutability keeps valid.
 
     One kernel does the arithmetic, in ints.  _mul_into adds a product of
     two numerator dicts into a third; *, substitute, bracket_closed_form and
@@ -195,7 +199,7 @@ class FieldPoly:
     Every result is brought to canonical form by _make.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_text")
 
     def __init__(self, terms=None):
         clean = {}
@@ -214,6 +218,7 @@ class FieldPoly:
         den = lcm(1, *(c.denominator for c in clean.values()))
         self.num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
         self.den = den
+        self._text = None
 
     @classmethod
     def zero(cls):
@@ -334,6 +339,7 @@ class FieldPoly:
         poly = object.__new__(cls)
         poly.num = num
         poly.den = den
+        poly._text = None
         return poly
 
     @classmethod
@@ -389,8 +395,8 @@ class FieldPoly:
         return {s for mono in self.num for s, _ in mono}
 
     def __str__(self):
-        if not self.num:
-            return "0"
+        if self._text is not None:
+            return self._text
         parts = []
         for mono, c in sorted(
             self.num.items(), key=lambda t: tuple((s.sort_key(), e) for s, e in t[0])
@@ -400,7 +406,8 @@ class FieldPoly:
             for s, e in mono:
                 factors.append(f"{s}^{e}" if e > 1 else str(s))
             parts.append(" * ".join(factors))
-        return " + ".join(parts)
+        self._text = " + ".join(parts) or "0"
+        return self._text
 
     def __repr__(self):
         return f"FieldPoly({self})"
@@ -574,12 +581,9 @@ class DwhEquations:
 
     def equations(self):
         """(label, lhs, rhs) triples in deterministic order."""
-        out = []
-        for I, lhs, rhs in self.momentum:
-            out.append((f"p-div[{','.join(map(str, I))}]", lhs, rhs))
-        for (mu, I), lhs, rhs in self.field:
-            out.append((f"y-deriv[{mu}][{','.join(map(str, I))}]", lhs, rhs))
-        return out
+        _, momentum_labels, field_labels = _dwh_skeleton(self.n, self.p)
+        return ([(momentum_labels[I], lhs, rhs) for I, lhs, rhs in self.momentum]
+                + [(field_labels[key], lhs, rhs) for key, lhs, rhs in self.field])
 
     def lines(self):
         return [f"{label}: {lhs} = {rhs}" for label, lhs, rhs in self.equations()]
@@ -598,6 +602,33 @@ class DwhEquations:
         return "\n".join(self.lines())
 
 
+@cache
+def _dwh_skeleton(n, p):
+    """The part of the rank-p DWH equations over dimension n that H does not
+    change, built once per (n, p) and shared by every derivation.
+
+    Returns (rows, momentum_labels, field_labels).  rows holds, for each
+    canonical I in output order, (I, y[I], sum_mu d[mu]p[mu][I], field_rows),
+    and field_rows holds ((nu, I), p[nu][I], d[nu]y[I]) for each nu.  The
+    labels map I and (nu, I) to the report names p-div[I] and
+    y-deriv[nu][I].  The polynomials are immutable, so sharing them is safe,
+    and each one prints once per process.
+    """
+    rows, momentum_labels, field_labels = [], {}, {}
+    for I in _multi_indices(n, p):  # canonical, so the symbols need no check
+        ilist = ",".join(map(str, I))
+        momentum_labels[I] = f"p-div[{ilist}]"
+        field_rows = []
+        for nu in range(1, n + 1):
+            field_labels[nu, I] = f"y-deriv[{nu}][{ilist}]"
+            field_rows.append(((nu, I), FieldSymbol("p", (nu,), I),
+                               FieldPoly.of(FieldSymbol("Dy", (nu,), I))))
+        lhs = FieldPoly._raw({((FieldSymbol("Dp", (mu, mu), I), 1),): 1
+                              for mu in range(1, n + 1)})
+        rows.append((I, FieldSymbol("y", (), I), lhs, tuple(field_rows)))
+    return tuple(rows), momentum_labels, field_labels
+
+
 def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     """Derive the covariant Hamiltonian equations for rank-p fields.
 
@@ -609,7 +640,8 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     with the chain-rule factor sum_nu L[nu][c] undone by L^-1 once
     L L^-1 = 1.  The left-hand sides are written down by the same
     identity (module docstring); deriving them from the DKP action is
-    ROADMAP item 2.
+    ROADMAP item 2.  They, the symbols and the labels come from the
+    per-shape _dwh_skeleton, so each equation costs one gradient lookup.
 
     L = A / s and L^-1 = B / t, for integer matrices A and B, are the pairs
     the frame map keeps.  Raises ArithmeticError unless A B = s t I.
@@ -628,16 +660,14 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
 
     momentum = []
     field = []
-    for I in _multi_indices(n, p):  # canonical, so the symbols need no check
-        lhs = FieldPoly._raw({((FieldSymbol("Dp", (mu, mu), I), 1),): 1
-                              for mu in range(1, n + 1)})
-        d = grad.get(FieldSymbol("y", (), I))
-        rhs = FieldPoly._make({m: -c for m, c in d.items()}, h.den) if d else zero
-        momentum.append((I, lhs, rhs))
-        for nu in range(1, n + 1):
-            d = grad.get(FieldSymbol("p", (nu,), I))
-            rhs = FieldPoly._make(d, h.den) if d else zero
-            field.append(((nu, I), FieldPoly.of(FieldSymbol("Dy", (nu,), I)), rhs))
+    rows, _, _ = _dwh_skeleton(n, p)
+    for I, ys, lhs, field_rows in rows:
+        d = grad.get(ys)
+        momentum.append((I, lhs, FieldPoly._make({m: -c for m, c in d.items()}, h.den)
+                         if d else zero))
+        for key, ps, dy in field_rows:
+            d = grad.get(ps)
+            field.append((key, dy, FieldPoly._make(d, h.den) if d else zero))
     return DwhEquations(n, p, momentum, field)
 
 

@@ -23,6 +23,12 @@ dimension n and the rank p of the surrounding context.
 
 Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
 product or power whose term count could exceed MAX_TERMS, is a ParseError.
+Each power is bounded by what it produces, so chained and nested powers
+are bounded too: no symbol may reach an exponent above MAX_EXPONENT, and
+no coefficient more than MAX_COEFFICIENT_DIGITS digits.  A literal (a
+number, an exponent or an index) has at most MAX_ENTRY_DIGITS digits, the
+cap of a matrix entry, so no literal reaches Python's own limit on
+converting long digit strings.
 
 A symbol is one token: the tokenizer reads the name with its bracket
 groups, so p[1][2,4] is one regex match, and the parser reads the
@@ -36,12 +42,16 @@ import re
 from fractions import Fraction
 from math import comb
 
+from ._linalg import MAX_ENTRY_DIGITS
 from .fields import FieldPoly, RankError, symbol_poly
 
-__all__ = ["MAX_EXPONENT", "MAX_TERMS", "ParseError", "parse_expr"]
+__all__ = ["MAX_COEFFICIENT_DIGITS", "MAX_EXPONENT", "MAX_TERMS", "ParseError", "parse_expr"]
 
 MAX_EXPONENT = 64
 MAX_TERMS = 10_000
+# Python's default limit on converting an int to text, so that a coefficient
+# a power builds can still be printed
+MAX_COEFFICIENT_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -73,6 +83,8 @@ def _tokenize(src):
     for kind, text, pos, _ in tokens:
         if kind == "bad":
             raise ParseError(f"unexpected character {text!r}", pos)
+        if kind == "num" and len(text) > MAX_ENTRY_DIGITS:
+            raise _long_literal(text, pos)
     tokens.append(("eof", "", len(src), None))
     return tokens
 
@@ -125,7 +137,7 @@ class _Parser:
     def factor(self):
         poly = self.primary()
         while self.peek()[1] == "^":
-            self.next()
+            caret = self.next()[2]
             kind, text, pos, _ = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", pos)
@@ -134,6 +146,7 @@ class _Parser:
                 raise ParseError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
             # a t-term polynomial to the e has at most C(e + t - 1, e) terms
             _check_terms(comb(e + t - 1, e) if t else 1, pos)
+            _check_power(poly, e, caret)
             poly = poly ** e
         return poly
 
@@ -203,10 +216,39 @@ class _Parser:
 
     def index(self, item):
         """The index an _INDEX match read, checked against 1..n."""
+        if len(item[1]) > MAX_ENTRY_DIGITS:
+            raise _long_literal(item[1], item.start(1))
         x = int(item[1])
         if not 1 <= x <= self.n:
             raise ParseError(f"index {x} outside 1..{self.n}", item.start(1))
         return x
+
+
+def _long_literal(text, pos):
+    """The error for a run of digits above MAX_ENTRY_DIGITS, raised before
+    int() reads it."""
+    return ParseError(
+        f"literal of {len(text)} digits is above the cap of {MAX_ENTRY_DIGITS} digits", pos)
+
+
+def _check_power(poly, e, pos):
+    """ParseError at the '^' at pos when poly**e would raise a symbol above
+    MAX_EXPONENT or hold a coefficient of more than MAX_COEFFICIENT_DIGITS
+    digits.
+
+    Each numerator of poly**e is at most (sum of |numerators|)**e, by the
+    multinomial theorem, and its denominator divides den**e; a number of b
+    bits has at most b * 30103 // 100000 + 1 decimal digits, as
+    log10 2 < 0.30103.
+    """
+    top = e * max((x for mono in poly.num for _, x in mono), default=0)
+    if top > MAX_EXPONENT:
+        raise ParseError(f"power raises a symbol to the {top}, above the cap {MAX_EXPONENT}", pos)
+    bits = e * max(sum(map(abs, poly.num.values())).bit_length(), poly.den.bit_length())
+    digits = bits * 30103 // 100_000 + 1
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ParseError(f"power gives coefficients of up to {digits} digits, above the cap "
+                         f"{MAX_COEFFICIENT_DIGITS}", pos)
 
 
 def _check_terms(bound, pos):

@@ -374,6 +374,41 @@ def test_huge_frame_exits_2_within_a_second():
     assert "above the cap 10000" in done.stderr
 
 
+def test_hostile_powers_and_literals_exit_2_within_a_second():
+    """Chained and nested powers and a literal past Python's int(str) limit
+    exit 2 at the parser, with an error line and no traceback.  Before the
+    power bound the first ran for 6 s and the second died at once with a
+    ValueError from int-to-str conversion; the literal died in int()."""
+    src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
+    for h in ("(3*y[])^64^64^64^64", "(((3*y[])^64)^64)^64", "1" * 5000 + "*y[]"):
+        done = subprocess.run(
+            [sys.executable, "-m", "dkpfields", "derive-dwh", "--n", "1", "--p", "0", "--H", h],
+            capture_output=True, text=True, timeout=1,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stdout) == (2, ""), h[:40]
+        assert done.stderr.startswith("error:") and "above the cap" in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_coefficient_too_long_to_print_exits_2(capsys):
+    """A power whose coefficient would pass the digit cap stops at the
+    parser; a product that passes it after every power was accepted stops
+    when the report is written, in either format."""
+    limit = sys.get_int_max_str_digits()
+    c = "1234567890" * 7
+    assert run_cli(["derive-dwh", "--n", "1", "--H", f"({c}*y[])^64"]) == (2, "")
+    assert "coefficients of up to 4432 digits" in capsys.readouterr().err
+    big = f"({'9' * 99})^43*{'9' * 99}*y[]"
+    for argv in (["derive-dwh", "--n", "1", "--H", big],
+                 ["bracket", "--n", "1", "--G", big, "--F", "p[1][]"]):
+        for fmt in ("text", "json"):
+            assert run_cli(argv + ["--format", fmt]) == (2, ""), argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: the answer has a coefficient of more than")
+    assert sys.get_int_max_str_digits() == limit  # the limit is not lifted
+
+
 def test_verify_lambda_above_frame_size_exits_2(monkeypatch, capsys):
     """Above n = 3 the bracket groups would ignore --lambda, so verify refuses it."""
     def no_suites(*args, **kwargs):

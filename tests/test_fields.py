@@ -27,6 +27,7 @@ from dkpfields.fields import (
     check_jacobi_sym,
     check_leibniz,
     dp_sym,
+    dpi_sym,
     dwh_derive,
     dy_sym,
     nabla,
@@ -842,3 +843,138 @@ def test_equal_polynomials_by_different_routes_hash_equal():
     assert half * x == half * x and half * x != x
     assert FieldPoly.const(Fraction(3, 6)) == half and FieldPoly.const(4) == 4
     assert str(Fraction(2, 3) * x * 3 + Fraction(-6, 4) * y) == "2 * y[1] + -3/2 * p[2][1]"
+
+
+# -- the polynomial writer and the per-shape DWH skeleton --------------------
+
+
+def _ref_symbol_text(s):
+    I = "[" + ",".join(map(str, s.index)) + "]"
+    lead = [f"[{a}]" for a in s.idx]
+    if s.kind in ("y", "pi", "p"):
+        return s.kind + "".join(lead) + I
+    return f"d{lead[0]}{s.kind[1:]}{''.join(lead[1:])}{I}"
+
+
+def _ref_str(f):
+    """The text of f from its .terms: the terms sorted by the sort_key of
+    their factors, each coefficient as str(Fraction), then its factors as
+    sym or sym^e, joined by ' * ', the terms by ' + '; zero is '0'."""
+    terms = sorted(f.terms.items(), key=lambda t: tuple((s.sort_key(), e) for s, e in t[0]))
+    return " + ".join(" * ".join([str(c)] + [_ref_symbol_text(s) + (f"^{e}" if e > 1 else "")
+                                             for s, e in mono])
+                      for mono, c in terms) or "0"
+
+
+def _all_kind_syms(n, p):
+    out = []
+    for I in combinations(range(1, n + 1), p):
+        out.append(y_sym(I))
+        for a in range(1, n + 1):
+            out += [pi_sym(a, I), p_sym(a, I), dy_sym(a, I)]
+            out += [f(a, b, I) for b in range(1, n + 1) for f in (dpi_sym, dp_sym)]
+    return out
+
+
+def _polys_by_every_route(rng):
+    """Random polynomials over all six symbol kinds, made by the constructor,
+    +, -, *, **, substitute and partial, and by dwh_derive and bracket."""
+    n, p = 2, 1
+    syms = _all_kind_syms(n, p)
+    base = [_rand_poly(rng, syms, rng.randint(1, 6)) for _ in range(6)]
+    a, b, c = base[:3]
+    out = list(base)
+    out += [a + b, a - b, -a, a * b, a * Fraction(-3, 7), 5 * b, a - a,
+            FieldPoly.zero(), FieldPoly.const(Fraction(-5, 3)), FieldPoly.const(0)]
+    out += [a ** e for e in range(4)] + [(a + c) ** 2]
+    yp = [s for s in syms if s.kind in ("y", "pi", "p")]
+    mapping = {s: _rand_poly(rng, syms, 3, max_e=2) for s in rng.sample(yp, 3)}
+    out += [f.substitute(mapping) for f in base[:3]]
+    out += [f.partial(s) for f in base for s in rng.sample(yp, 2)]
+    lam = _dense_frame(rng, n)
+    g, f, h = (_rand_poly(rng, _field_syms(n, p, ("y", "p")), 4) for _ in range(3))
+    out += [bracket(g, f, 1, p, lam, n), bracket_closed_form(g, f, 2, p, n)]
+    out += [q for _, lhs, rhs in dwh_derive(h, p, lam, n).equations() for q in (lhs, rhs)]
+    return out
+
+
+def test_str_matches_the_reference_writer_on_every_route():
+    """str of a polynomial made by any route equals the reference writer, on
+    the first print and every later one, and printed polynomials keep
+    giving correctly printed results in further arithmetic."""
+    rng = random.Random(131)
+    for _ in range(20):
+        polys = _polys_by_every_route(rng)
+        for f in polys:
+            assert str(f) == _ref_str(f)
+        assert all(str(f) == _ref_str(f) for f in polys)
+        for _ in range(10):
+            a, b = rng.sample(polys, 2)
+            for q in (a + b, a * b, b - a, a * Fraction(7, -2), a ** 2):
+                assert str(q) == _ref_str(q)
+                assert repr(q) == f"FieldPoly({_ref_str(q)})"
+        assert all(str(f) == _ref_str(f) for f in polys)
+    kinds = {s.kind for f in polys for mono in f.terms for s, _ in mono}
+    assert kinds == {"y", "pi", "p", "Dy", "Dpi", "Dp"}
+
+
+def _ref_dwh(h, p, lam, n):
+    """(label, lhs terms, rhs terms) of the DWH equations by their
+    definition: pi -> L^-1 p through _ref_substitute, the left-hand sides
+    written out, the right-hand sides by _ref_partial."""
+    Is = list(combinations(range(1, n + 1), p))
+    to_p = {}
+    for I in Is:
+        to_p.update(_ref_frame_map("pi", "p", lam.lam_inv, n, I))
+    hp = _ref_substitute(h.terms, to_p)
+    out = []
+    for I in Is:
+        lhs = {((dp_sym(mu, mu, I), 1),): 1 for mu in range(1, n + 1)}
+        rhs = {m: -c for m, c in _ref_partial(hp, y_sym(I)).items()}
+        out.append((f"p-div[{','.join(map(str, I))}]", lhs, rhs))
+    for I in Is:
+        for nu in range(1, n + 1):
+            out.append((f"y-deriv[{nu}][{','.join(map(str, I))}]",
+                        {((dy_sym(nu, I), 1),): 1}, _ref_partial(hp, p_sym(nu, I))))
+    return out
+
+
+def test_dwh_derive_matches_the_reference_derivation_at_every_shape():
+    """n = 1..5 and every p, the shapes interleaved, over dense non-integer
+    frames: the equations, their keys and their text equal the reference."""
+    rng = random.Random(137)
+    shapes = [(n, p) for n in range(1, 6) for p in range(n + 1)] * 2
+    rng.shuffle(shapes)
+    for n, p in shapes:
+        lam = _dense_frame(rng, n)
+        h = _rand_poly(rng, _field_syms(n, p, ("y", "p", "pi")), 5, max_e=2)
+        eqs = dwh_derive(h, p, lam, n)
+        want = _ref_dwh(h, p, lam, n)
+        assert [(label, lhs.terms, rhs.terms) for label, lhs, rhs in eqs.equations()] == want
+        Is = list(combinations(range(1, n + 1), p))
+        assert [I for I, _, _ in eqs.momentum] == Is
+        assert [key for key, _, _ in eqs.field] == [(nu, I) for I in Is for nu in range(1, n + 1)]
+        assert eqs.lines() == [f"{label}: {_ref_str(FieldPoly(lhs))} = {_ref_str(FieldPoly(rhs))}"
+                               for label, lhs, rhs in want]
+
+
+def test_dwh_skeleton_is_shared_per_shape_and_keyed_on_it_alone():
+    """Two derivations of one shape share their left-hand sides and never
+    their right-hand sides; the skeleton is built once per (n, p), whatever
+    H and the frame are."""
+    from dkpfields.fields import _dwh_skeleton
+
+    rng = random.Random(139)
+    _dwh_skeleton.cache_clear()
+    shapes = [(2, 1), (3, 0), (3, 2)]
+    for n, p in shapes * 3:
+        h = _rand_poly(rng, _field_syms(n, p, ("y", "p")), 2)
+        a = dwh_derive(h, p, _dense_frame(rng, n), n)
+        b = dwh_derive(h, p, _dense_frame(rng, n), n)
+        assert a == b
+        for (_, lhs_a, rhs_a), (_, lhs_b, rhs_b) in zip(a.momentum + a.field,
+                                                         b.momentum + b.field):
+            assert lhs_a is lhs_b
+            assert rhs_a is not rhs_b
+    info = _dwh_skeleton.cache_info()
+    assert (info.misses, info.currsize) == (len(shapes), len(shapes))

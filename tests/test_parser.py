@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields.fields import FieldPoly, RankError, p_sym, pi_sym, y_sym
+from dkpfields import parser
+from dkpfields._linalg import MAX_ENTRY_DIGITS
 from dkpfields.parser import MAX_EXPONENT, MAX_TERMS, ParseError, _tokenize, parse_expr
 
 Y = lambda *I: FieldPoly.of(y_sym(I))
@@ -178,6 +180,59 @@ def test_expansion_caps_fail_before_expanding(monkeypatch):
     side = " + ".join(f"y[]^{i}*pi[{{a}}]^{j}" for i in range(11) for j in range(10))
     with pytest.raises(ParseError, match="12100 terms"):
         parse_expr(f"({side.format(a=1)})*({side.format(a=2)})", 2, 0)
+
+
+def test_each_power_is_bounded_by_what_it_produces():
+    """Chained and nested powers stop at the '^' whose result would raise a
+    symbol above MAX_EXPONENT or hold a coefficient above
+    MAX_COEFFICIENT_DIGITS digits, before that power is expanded."""
+    for src, top, caret in (("(3*y[])^64^64^64^64", 4096, 10), ("(((3*y[])^64)^64)^64", 4096, 13),
+                            ("y[]^64^2", 128, 6), ("(y[]^2)^33", 66, 7)):
+        with pytest.raises(ParseError, match=f"symbol to the {top}, above the cap 64") as exc:
+            parse_expr(src, 1, 0)
+        assert (src[exc.value.pos], exc.value.pos) == ("^", caret)
+    assert parse_expr("y[]^64", 1, 0) == Y() ** 64
+    assert parse_expr("(y[]^2)^32", 1, 0) == Y() ** 64
+    assert len(parse_expr("(y[]+pi[1])^64", 1, 0)) == 65
+    c = "1234567890" * 7
+    with pytest.raises(ParseError, match="coefficients of up to 4432 digits") as exc:
+        parse_expr(f"({c}*y[])^64", 1, 0)
+    assert exc.value.pos == len(f"({c}*y[])")
+    assert parse_expr(f"({c}*y[])^60", 1, 0) == int(c) ** 60 * Y() ** 60
+    with pytest.raises(ParseError, match="coefficients of up to"):
+        parse_expr("2^64^64^64", 1, 0)  # a constant has no symbol to bound it
+    with pytest.raises(ParseError, match="coefficients of up to"):
+        parse_expr(f"(y[]+1/{c})^64", 1, 0)  # denominators count too
+
+
+def test_power_coefficient_bound_is_never_below_the_result(monkeypatch):
+    """With the cap one digit under the longest coefficient a power really
+    gives, that power is refused."""
+    rng = random.Random(151)
+    syms = [Y(), PI(1), P(1)]
+    for _ in range(40):
+        f = sum((Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) * rng.choice(syms)
+                 for _ in range(rng.randint(1, 3))), FieldPoly.zero())
+        if not f:
+            continue
+        e = rng.randint(1, 30)
+        longest = max(len(str(abs(c))) for c in (*(f ** e).num.values(), (f ** e).den))
+        monkeypatch.setattr(parser, "MAX_COEFFICIENT_DIGITS", longest - 1)
+        with pytest.raises(ParseError, match="coefficients of up to"):
+            parse_expr(f"({f})^{e}", 1, 0)
+
+
+def test_literals_above_the_entry_cap_are_refused_at_the_literal():
+    big = "1" * (MAX_ENTRY_DIGITS + 1)
+    for src, pos in ((f"{big}*y[]", 0), (f"y[]^{big}", 4), (f"1/{big}", 2), (f"y[{big}]", 2),
+                     (f"p[{big}][]", 2), ("y[]+" + "7" * 5000, 4)):
+        with pytest.raises(ParseError, match="digits is above the cap of 100 digits") as exc:
+            parse_expr(src, 2, 0)
+        assert exc.value.pos == pos, src
+    top = "9" * MAX_ENTRY_DIGITS
+    assert parse_expr(f"{top}/{top}*y[]", 1, 0) == Y()
+    with pytest.raises(ParseError, match=f"index {top} outside 1..2"):
+        parse_expr(f"y[{top}]", 2, 1)
 
 
 def _random_source(rng, n, p):
