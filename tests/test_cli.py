@@ -487,8 +487,9 @@ def test_json_writer_refuses_a_float():
         cli._json(cli._report("dims", {"n": 2.0}, [], 0, 0))
 
 
-# argv that argparse answers with help or a usage error, and two that run;
-# their exit codes and output are pinned in ARGV_PINS
+# argv that argparse answers with help or a usage error, two that run, and
+# --H texts the expression parser refuses; their exit codes and output are
+# pinned in ARGV_PINS
 PINNED_ARGVS = [
     [],
     ["-h"],
@@ -506,6 +507,14 @@ PINNED_ARGVS = [
     ["bracket", "--n=2", "--G=y[]", "--F=p[1][]", "--format=json", "extra"],
     ["dims", "--n", "2", "--p", "1"],
     ["verify", "--n", "2", "--seed", "1.5"],
+    ["derive-dwh", "--n", "2", "--p", "1", "--H", "y[1"],
+    ["derive-dwh", "--n", "2", "--H", "2*y[]^"],
+    ["derive-dwh", "--n", "2", "--H", "p[x]"],
+    ["derive-dwh", "--n", "2", "--H", "(y[]"],
+    ["derive-dwh", "--n", "2", "--H", "y[]^65"],
+    ["derive-dwh", "--n", "2", "--H", "1/0*y[]"],
+    ["derive-dwh", "--n", "2", "--H", "y[] y[]"],
+    ["derive-dwh", "--n", "4", "--p", "1", "--H", "y[5]"],
 ]
 ARGV_PINS = pathlib.Path(__file__).with_name("argv_pins.json")
 
