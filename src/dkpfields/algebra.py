@@ -47,7 +47,6 @@ __all__ = [
     "basis_word",
     "canonicalize",
     "contract",
-    "contract_product",
     "embed_covector",
     "embed_vector",
     "gen_delta",
@@ -506,25 +505,3 @@ def contract(x, p):
     if total is not None and total:
         return AlgebraElement._raw(x.n, {BasisElement((), ()): total})
     return out
-
-
-def contract_product(x, y, p):
-    """Vacuum coefficient of contract(x * y, p), without forming x * y.
-
-    Only the E(I, I) keys of the product reach the vacuum line, so this is
-    sum over the terms E(I, K) of x of x[I, K] * y[K, I]: one lookup per term
-    of x.  Every term of x must have |I| = p and every term of y a lower
-    index of length p, else GradeError, so the grade check of contract
-    holds for any product the factors could form.  Returns 0 when no key
-    meets.
-    """
-    x._require_same_n(y)
-    if any(len(up) != p for up, _ in x._terms) or any(len(lo) != p for _, lo in y._terms):
-        raise GradeError(f"factors do not contract at grade ({p},{p})")
-    total = _ZERO
-    terms = y._terms
-    for (up, lo), c in x._terms.items():
-        d = terms.get((lo, up))
-        if d is not None:
-            total = c * d if total is _ZERO else total + c * d
-    return total

@@ -37,7 +37,7 @@ from math import comb
 
 from . import algebra as al
 from .dkp import FrameMap
-from .fields import RankError, bracket, bracket_closed_form, dwh_derive
+from .fields import RankError, SizeError, bracket, bracket_closed_form, dwh_derive
 from .parser import MAX_TERMS, ParseError, parse_expr
 from .subspaces import dim_zp
 
@@ -212,7 +212,7 @@ def _cmd_derive_dwh(args, out):
     try:
         h = parse_expr(args.H, args.n, args.p)
         eqs = dwh_derive(h, args.p, lam, args.n)
-    except (ParseError, RankError) as exc:
+    except (ParseError, RankError, SizeError) as exc:
         raise UsageError(str(exc)) from exc
     try:
         results = [

@@ -16,11 +16,9 @@ throughout, so raised and lowered field indices coincide.
 
 A FieldPoly stores int numerators over one positive int denominator, in
 lowest terms (the content/primitive-part form of Geddes, Czapor and
-Labahn, Algorithms for Computer Algebra, 1992, ch. 2).  Products, powers,
-substitutions, derivatives and the frame sums all run in ints: L and L^-1
-are the (int rows, den) pairs that FrameMap keeps from one Bareiss pass,
-read as they are.  Fractions appear only where a polynomial is built from
-rational coefficients, in the .terms view, and in str.
+Labahn, Algorithms for Computer Algebra, 1992, ch. 2), and all its
+arithmetic runs in ints: L and L^-1 are read as the (int rows, den) pairs
+that FrameMap keeps from one Bareiss pass.
 
 All multi-index sums below run over strictly increasing tuples only; the
 1/p! weights that would accompany sums over all index orderings are
@@ -65,12 +63,12 @@ every derivation of that shape, so a call pays only for the gradient of H.
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from ._linalg import _integer_rows, identity
-from .algebra import AlgebraElement, BasisElement, _coerce, canonicalize, contract_product
+from .algebra import AlgebraElement, BasisElement, _coerce
 from .dkp import FrameMap, beta_mu
 
 __all__ = [
@@ -78,7 +76,9 @@ __all__ = [
     "FieldPoly",
     "FieldSymbol",
     "KindError",
+    "MAX_TERMS",
     "RankError",
+    "SizeError",
     "bracket",
     "bracket_closed_form",
     "check_jacobi_sym",
@@ -92,8 +92,10 @@ __all__ = [
     "p_sym",
     "pi_sym",
     "y_sym",
-    "symbol_poly",
 ]
+
+# the most terms an input polynomial, or its pi -> L^-1 p rewrite, may reach
+MAX_TERMS = 10_000
 
 
 class KindError(ValueError):
@@ -102,6 +104,10 @@ class KindError(ValueError):
 
 class RankError(ValueError):
     """Symbol rank or index range does not match the context."""
+
+
+class SizeError(ValueError):
+    """A rewrite would grow past MAX_TERMS terms."""
 
 
 _KIND_ORDER = {"y": 0, "pi": 1, "p": 2, "Dy": 3, "Dpi": 4, "Dp": 5}
@@ -162,18 +168,6 @@ def dp_sym(mu, nu, I):
     return FieldSymbol("Dp", (mu, nu), _check_canonical(I))
 
 
-def symbol_poly(kind, idx, seq, n):
-    """Polynomial for a symbol with a possibly unsorted multi-index.
-
-    Sorting contributes the permutation sign; a repeated index yields the
-    zero polynomial.
-    """
-    sign, ix = canonicalize(seq, n)
-    if sign == 0:
-        return FieldPoly.zero()
-    return FieldPoly._raw({((FieldSymbol(kind, tuple(idx), ix), 1),): sign})
-
-
 class FieldPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -191,8 +185,9 @@ class FieldPoly:
     kept after the first str, which immutability keeps valid.
 
     One kernel does the arithmetic, in ints.  _mul_into adds a product of
-    two numerator dicts into a third; *, substitute, bracket_closed_form and
-    the chain-rule sums of _nabla accumulate through it, and ** expands by
+    two numerator dicts into a third; the constructor, + (with the scaling
+    constants), *, substitute, bracket, bracket_closed_form, the chain-rule
+    sums of _nabla and the parser accumulate through it, and ** expands by
     the multinomial theorem through it.  _merge_monomials merges two sorted
     factor lists in one pass.  _gradient reads every partial derivative off
     one pass over the terms, for every derivative taken in this module.
@@ -202,22 +197,14 @@ class FieldPoly:
     __slots__ = ("num", "den", "_text")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce(c)
-                if len(mono) > 1:  # sort the factors and combine a repeated symbol
-                    mono = reduce(lambda m, f: _merge_monomials(m, (f,)), mono, ())
-                if mono in clean:
-                    c += clean[mono]
-                if c:
-                    clean[mono] = c
-                else:
-                    clean.pop(mono, None)
-        # over the lcm of reduced denominators the numerators share no factor with it
-        den = lcm(1, *(c.denominator for c in clean.values()))
-        self.num = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        self.den = den
+        terms = {mono: c for mono, c in (terms or {}).items() if _coerce(c)}
+        den, num = lcm(1, *(c.denominator for c in terms.values())), {}
+        for mono, c in terms.items():  # sort the factors and combine a repeated symbol
+            mono = reduce(lambda m, f: _merge_monomials(m, (f,)), mono, ())
+            _mul_into(num, {mono: c.numerator * (den // c.denominator)}, _ONE)
+        g = gcd(den, *num.values())
+        self.num = {m: c // g for m, c in num.items()}
+        self.den = den // g
         self._text = None
 
     @classmethod
@@ -245,20 +232,9 @@ class FieldPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
         den = lcm(self.den, other.den)
-        k1, k2 = den // self.den, den // other.den
-        out = dict(self.num) if k1 == 1 else {m: k1 * c for m, c in self.num.items()}
-        for m, c in other.num.items():
-            s = out.get(m, 0) + k2 * c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return FieldPoly._make(out, den)
+        out = _mul_into({}, self.num, {(): den // self.den})
+        return FieldPoly._make(_mul_into(out, other.num, {(): den // other.den}), den)
 
     __radd__ = __add__
 
@@ -275,12 +251,8 @@ class FieldPoly:
         return FieldPoly._raw({m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return FieldPoly.zero()
-            return FieldPoly._make({m: other.numerator * v for m, v in self.num.items()},
-                                   other.denominator * self.den)
-        if not isinstance(other, FieldPoly):
+        other = self._lift(other)
+        if other is NotImplemented:
             return NotImplemented
         return FieldPoly._make(_mul_into({}, self.num, other.num), self.den * other.den)
 
@@ -290,10 +262,7 @@ class FieldPoly:
         """self**e by the multinomial theorem, one term per composition of e.
 
         A t-term polynomial costs C(e + t - 1, t - 1) monomial merges, the
-        bound the parser checks before it expands a power.  One term c m / d
-        goes straight to c**e m**e / d**e, already canonical: gcd(c, d) = 1
-        gives gcd(c**e, d**e) = 1, and scaling the exponents of m keeps its
-        factors sorted.
+        bound the parser checks before it expands a power.
         """
         if e < 0:
             raise ValueError("negative power")
@@ -301,9 +270,6 @@ class FieldPoly:
             return FieldPoly.const(1)
         if e == 1 or not self.num:
             return self
-        if len(self.num) == 1:
-            ((m, c),) = self.num.items()
-            return FieldPoly._raw({tuple((s, x * e) for s, x in m): c**e}, self.den**e)
         powers = [[((), 1), (m, c)] + [(tuple((s, x * k) for s, x in m), c**k)
                                        for k in range(2, e + 1)]
                   for m, c in self.num.items()]
@@ -547,13 +513,20 @@ def _adjoint_placed(el: AlgebraElement) -> AlgebraElement:
 
 
 def _frame_subst(f: FieldPoly, inverse) -> FieldPoly:
-    """pi[a][I] -> sum_b L^-1[a][b] p[b][I], with L^-1 given as an
-    (int rows, den) pair."""
+    """pi[a][I] -> sum_b L^-1[a][b] p[b][I], with L^-1 given as an (int rows,
+    den) pair; SizeError first if the rewrite could pass MAX_TERMS terms,
+    as pi^e with a t-term image gives up to C(e + t - 1, e) monomials."""
     rows, den = inverse
     mapping = {s: FieldPoly._make({((FieldSymbol("p", (b,), s.index), 1),): w
                                    for b, w in enumerate(rows[s.idx[0] - 1], 1) if w}, den)
                for s in f.symbols() if s.kind == "pi"}
-    return f.substitute(mapping) if mapping else f
+    if not mapping:
+        return f
+    size = sum(prod(comb(e + len(mapping[s]) - 1, e) for s, e in mono if s in mapping)
+               for mono in f.num)
+    if size > MAX_TERMS:
+        raise SizeError(f"pi -> L^-1 p gives up to {size} terms, above the cap {MAX_TERMS}")
+    return f.substitute(mapping)
 
 
 # -- covariant Hamiltonian field equations --------------------------------
@@ -591,12 +564,8 @@ class DwhEquations:
     def __eq__(self, other):
         if not isinstance(other, DwhEquations):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.p == other.p
-            and self.momentum == other.momentum
-            and self.field == other.field
-        )
+        return ((self.n, self.p, self.momentum, self.field)
+                == (other.n, other.p, other.momentum, other.field))
 
     def __repr__(self):
         return "\n".join(self.lines())
@@ -680,18 +649,29 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     Vacuum coefficient of contract((nabla_adjoint g') beta_mu (nabla f'), p)
     for g' = g(p = L pi) and f' = f(p = L pi).  The frame-momentum
     derivatives are taken by the chain rule (_nabla), so every coefficient
-    stays in y/p symbols and L^-1 enters only through beta_mu.  Of the last
-    product only the E(I,I) keys that reach the vacuum are formed
-    (contract_product).  No 1/p! weight appears: the canonical-multi-index
-    sums in the derivative operators absorb it.
+    stays in y/p symbols and L^-1 enters only through beta_mu.  For x =
+    nabla g' placed at E(I,K) and y = nabla f', the matrix-unit rule
+    E(I,K) E(K,K') E(K',I) = E(I,I) reads the value off the keys as
+    sum x[K,I] beta[K,K'] y[K',I], added through _mul_into into one
+    numerator dict, so no element of G_n is multiplied.  No 1/p! weight
+    appears: the canonical-multi-index sums in the derivative operators
+    absorb it.
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    beta = beta_mu(lam, mu, "lower_neg", n)
-    left = _adjoint_placed(_nabla(g, p, n, "p", lam._rows))
-    right = _nabla(f, p, n, "p", lam._rows)
-    c = contract_product(left * beta, right, p)
-    return FieldPoly.const(c) if isinstance(c, Fraction) else c  # Fraction(0) if absent
+    x = _nabla(g, p, n, "p", lam._rows)._terms
+    y = _nabla(f, p, n, "p", lam._rows)._terms
+    links = {}
+    for (k, k2), b in beta_mu(lam, mu, "lower_neg", n)._terms.items():
+        links.setdefault(k, []).append((k2, b))
+    rows = [(xc, b, yc) for (k, i), xc in x.items() for k2, b in links.get(k, ())
+            if (yc := y.get((k2, i))) is not None]
+    den = lcm(*(xc.den * b.denominator * yc.den for xc, b, yc in rows))
+    out = {}
+    for xc, b, yc in rows:
+        scale = b.numerator * (den // (xc.den * b.denominator * yc.den))
+        _mul_into(out, {m: scale * c for m, c in xc.num.items()}, yc.num)
+    return FieldPoly._make(out, den)
 
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:

@@ -21,14 +21,19 @@ are canonicalized on the fly: y[2,1] parses to -1 * y[1,2] and a repeated
 index contributes the zero polynomial.  Indices are validated against the
 dimension n and the rank p of the surrounding context.
 
+A term multiplies its numbers, rationals and symbols, each read with its
+powers and signs as a/b * s^k, into one int coefficient and one {symbol:
+exponent} map, and a parenthesised factor in as a FieldPoly; the
+expression adds its terms into one numerator dict over one denominator.
+
 Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
 product or power whose term count could exceed MAX_TERMS, is a ParseError.
-Each power is bounded by what it produces, so chained and nested powers
-are bounded too: no symbol may reach an exponent above MAX_EXPONENT, and
-no coefficient more than MAX_COEFFICIENT_DIGITS digits.  A literal (a
-number, an exponent or an index) has at most MAX_ENTRY_DIGITS digits, the
-cap of a matrix entry, so no literal reaches Python's own limit on
-converting long digit strings.
+Each power and each nonzero product is bounded by what it produces, so
+chained and nested powers and repeated factors are bounded too: no symbol
+may reach an exponent above MAX_EXPONENT, and no coefficient more than
+MAX_COEFFICIENT_DIGITS digits.  A literal (a number, an exponent or an
+index) has at most MAX_ENTRY_DIGITS digits, the cap of a matrix entry, so
+no literal reaches Python's own limit on converting long digit strings.
 
 A symbol is one token: the tokenizer reads the name with its bracket
 groups, so p[1][2,4] is one regex match, and the parser reads the
@@ -39,16 +44,15 @@ is not closed.
 """
 
 import re
-from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from ._linalg import MAX_ENTRY_DIGITS
-from .fields import FieldPoly, RankError, symbol_poly
+from .algebra import _sort_parity
+from .fields import MAX_TERMS, FieldPoly, FieldSymbol, RankError, _mul_into
 
 __all__ = ["MAX_COEFFICIENT_DIGITS", "MAX_EXPONENT", "MAX_TERMS", "ParseError", "parse_expr"]
 
 MAX_EXPONENT = 64
-MAX_TERMS = 10_000
 # Python's default limit on converting an int to text, so that a coefficient
 # a power builds can still be printed
 MAX_COEFFICIENT_DIGITS = 4300
@@ -91,11 +95,7 @@ def _tokenize(src):
 
 class _Parser:
     def __init__(self, src, n, p):
-        self.src = src
-        self.n = n
-        self.p = p
-        self.tokens = _tokenize(src)
-        self.i = 0
+        self.src, self.n, self.p, self.tokens, self.i = src, n, p, _tokenize(src), 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -105,70 +105,100 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, value):
-        kind, text, pos, _ = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, got {text or 'end of input'!r}", pos)
-
-    def parse(self):
-        poly = self.expr()
-        kind, text, pos, _ = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected trailing {text!r}", pos)
-        return poly
-
     def expr(self):
-        poly = self.term()
+        terms = [(1, *self.term())]
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+            terms.append((1 if self.next()[1] == "+" else -1, *self.term()))
+        den, out = lcm(*(d for _, _, d in terms)), {}
+        for sign, num, d in terms:
+            _mul_into(out, num, {(): sign * (den // d)})
+        return FieldPoly._make(out, den)
 
     def term(self):
-        poly = self.factor()
-        while self.peek()[1] == "*":
-            pos = self.next()[2]
-            rhs = self.factor()
-            _check_terms(len(poly) * len(rhs), pos)
-            poly = poly * rhs
-        return poly
+        """(numerators, den) of one term: each factor a/b * s^k goes into c / d
+        and the {symbol: exponent} map, each FieldPoly into poly (whose _sizes
+        are s, dn, top), and each nonzero product at a '*' is bounded."""
+        c, d, powers, poly, star, s, dn, top = 1, 1, {}, None, None, 1, 1, {}
+        while True:
+            val = self.factor()
+            # the terms so far: a monomial maps the terms of poly one to one
+            size = (1 if poly is None else len(poly)) if c else 0
+            if type(val) is tuple:
+                a, b, sym, k = val
+                if star is not None and poly is not None:
+                    _check_terms(size if a else 0, star)
+                g = gcd(c * a, d * b)
+                c, d = c * a // g, d * b // g
+                if k:
+                    powers[sym] = powers.get(sym, 0) + k
+                x = powers[sym] + top.get(sym, 0) if k else 0
+                # a factor +-s^k leaves the coefficients as they are
+                if star is not None and c and size and (abs(a) > 1 or b > 1 or x > MAX_EXPONENT):
+                    _check_bounds("product", x, max((abs(c) * s).bit_length(),
+                                                    (d * dn).bit_length()), star)
+            else:
+                vt, vs, vd, vtop = _sizes(val)
+                if star is not None:
+                    _check_terms(size * vt, star)
+                    if size and vt:
+                        _check_bounds("product", max((powers.get(x, 0) + top.get(x, 0) + e
+                                                      for x, e in vtop.items()), default=0),
+                                      max((abs(c) * s * vs).bit_length(),
+                                          (d * dn * vd).bit_length()), star)
+                if c:  # a zero term takes no product
+                    poly = val if poly is None else FieldPoly._make(
+                        _mul_into({}, poly.num, val.num), poly.den * val.den)
+                    _, s, dn, top = _sizes(poly)
+            if self.peek()[1] != "*":
+                break
+            star = self.next()[2]
+        mono = tuple(sorted(powers.items(), key=lambda t: t[0].sort_key()))
+        num = ({mono: c} if poly is None else _mul_into({}, {mono: c}, poly.num)) if c else {}
+        return num, d * (1 if poly is None else poly.den)
 
     def factor(self):
-        poly = self.primary()
+        """primary ('^' nat)*: a FieldPoly if the primary is parenthesised,
+        else (a, b, symbol, k) for a/b * symbol^k in lowest terms, k = 0
+        when no symbol is left."""
+        val = self.primary()
         while self.peek()[1] == "^":
             caret = self.next()[2]
             kind, text, pos, _ = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", pos)
-            e, t = int(text), len(poly)
+            e = int(text)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} is above the cap {MAX_EXPONENT}", pos)
+            t, s, dn, top = _sizes(val)
             # a t-term polynomial to the e has at most C(e + t - 1, e) terms
             _check_terms(comb(e + t - 1, e) if t else 1, pos)
-            _check_power(poly, e, caret)
-            poly = poly ** e
-        return poly
+            _check_bounds("power", e * max(top.values(), default=0),
+                          e * max(s.bit_length(), dn.bit_length()), caret)
+            val = (val[0]**e, val[1]**e, val[2], val[3] * e) if type(val) is tuple else val**e
+        return val
 
     def primary(self):
         kind, text, pos, m = self.next()
         if kind == "sym":
             return self.symbol(m)
         if text == "-":
-            return -self.factor()
+            val = self.factor()
+            return (-val[0], *val[1:]) if type(val) is tuple else -val
         if text == "(":
             poly = self.expr()
-            self.expect(")")
+            kind, text, pos, _ = self.next()
+            if text != ")":
+                raise ParseError(f"expected ')', got {text or 'end of input'!r}", pos)
             return poly
         if kind == "num":
-            num = int(text)
-            if self.peek()[1] == "/":
-                self.next()
-                dkind, dtext, dpos, _ = self.next()
-                if dkind != "num" or int(dtext) == 0:
-                    raise ParseError("denominator must be a positive integer", dpos)
-                return FieldPoly.const(Fraction(num, int(dtext)))
-            return FieldPoly.const(num)
+            if self.peek()[1] != "/":
+                return int(text), 1, None, 0
+            self.next()
+            dkind, dtext, dpos, _ = self.next()
+            if dkind != "num" or int(dtext) == 0:
+                raise ParseError("denominator must be a positive integer", dpos)
+            num, den = int(text), int(dtext)
+            return num // gcd(num, den), den // gcd(num, den), None, 0
         raise ParseError(f"expected a factor, got {text or 'end of input'!r}", pos)
 
     def symbol(self, m):
@@ -196,7 +226,10 @@ class _Parser:
             raise RankError(
                 f"symbol at offset {pos} has rank {len(seq)}, context expects {self.p}"
             )
-        return symbol_poly(name, idx, seq, self.n)
+        if len(set(seq)) != len(seq):  # a repeated index gives zero
+            return 0, 1, None, 0
+        sign, ix = _sort_parity(seq)
+        return sign, 1, FieldSymbol(name, idx, ix), 1
 
     def multi_index(self, start, end):
         """The comma-separated indices of src[start:end], the inside of a group."""
@@ -231,23 +264,28 @@ def _long_literal(text, pos):
         f"literal of {len(text)} digits is above the cap of {MAX_ENTRY_DIGITS} digits", pos)
 
 
-def _check_power(poly, e, pos):
-    """ParseError at the '^' at pos when poly**e would raise a symbol above
-    MAX_EXPONENT or hold a coefficient of more than MAX_COEFFICIENT_DIGITS
-    digits.
+def _sizes(val):
+    """(terms, sum of |numerators|, den, {symbol: highest exponent}) of a
+    factor: a product's numerators are at most the product of the sums."""
+    if type(val) is tuple:
+        a, b, sym, k = val
+        return (1 if a else 0), abs(a), b, ({sym: k} if k else {})
+    top = {}
+    for mono in val.num:
+        for s, x in mono:
+            top[s] = max(x, top.get(s, 0))
+    return len(val), sum(map(abs, val.num.values())), val.den, top
 
-    Each numerator of poly**e is at most (sum of |numerators|)**e, by the
-    multinomial theorem, and its denominator divides den**e; a number of b
-    bits has at most b * 30103 // 100000 + 1 decimal digits, as
-    log10 2 < 0.30103.
-    """
-    top = e * max((x for mono in poly.num for _, x in mono), default=0)
+
+def _check_bounds(what, top, bits, pos):
+    """ParseError at the '^' or '*' at pos if a symbol would reach top >
+    MAX_EXPONENT, or a coefficient of bits bits pass MAX_COEFFICIENT_DIGITS
+    digits: b bits give at most b * 30103 // 100000 + 1, as log10 2 < 0.30103."""
     if top > MAX_EXPONENT:
-        raise ParseError(f"power raises a symbol to the {top}, above the cap {MAX_EXPONENT}", pos)
-    bits = e * max(sum(map(abs, poly.num.values())).bit_length(), poly.den.bit_length())
+        raise ParseError(f"{what} raises a symbol to the {top}, above the cap {MAX_EXPONENT}", pos)
     digits = bits * 30103 // 100_000 + 1
     if digits > MAX_COEFFICIENT_DIGITS:
-        raise ParseError(f"power gives coefficients of up to {digits} digits, above the cap "
+        raise ParseError(f"{what} gives coefficients of up to {digits} digits, above the cap "
                          f"{MAX_COEFFICIENT_DIGITS}", pos)
 
 
@@ -258,4 +296,9 @@ def _check_terms(bound, pos):
 
 def parse_expr(src, n, p) -> FieldPoly:
     """Parse a polynomial in y/pi/p symbols of rank p over dimension n."""
-    return _Parser(src, n, p).parse()
+    parser = _Parser(src, n, p)
+    poly = parser.expr()
+    kind, text, pos, _ = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing {text!r}", pos)
+    return poly

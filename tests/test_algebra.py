@@ -408,42 +408,6 @@ def test_contract_grade_error():
         al.contract(E(2, [1], [1]), 2)
 
 
-def test_contract_product_matches_contract_of_product():
-    """Only the E(I,I) keys of x * y reach the vacuum: the diagonal-only
-    trace equals contract(x * y, p), off-diagonal keys and misses included."""
-    rng = random.Random(83)
-    zero = BasisElement((), ())
-    for n in range(1, 5):
-        subsets = [c for q in range(n + 1) for c in combinations(range(1, n + 1), q)]
-        for p in range(n + 1):
-            grade = [c for c in subsets if len(c) == p]
-            for _ in range(12):
-                coeff = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-                x = {BasisElement(rng.choice(grade), rng.choice(subsets)): coeff()
-                     for _ in range(rng.randint(0, 6))}
-                y = {BasisElement(rng.choice(subsets), rng.choice(grade)): coeff()
-                     for _ in range(rng.randint(0, 3))}
-                # keys of y that meet half of x, on the diagonal of x * y and off it
-                for (i, k) in rng.sample(sorted(x), len(x) // 2):
-                    y[BasisElement(k, i)] = Fraction(rng.randint(1, 4), rng.randint(1, 5))
-                    y[BasisElement(k, rng.choice(grade))] = Fraction(rng.randint(1, 4))
-                x, y = AlgebraElement(n, x), AlgebraElement(n, y)
-                assert al.contract_product(x, y, p) == al.contract(x * y, p).coefficient(zero)
-
-
-def test_contract_product_grade_error():
-    x, y = E(2, [1], [2]), E(2, [2], [1])
-    assert al.contract_product(x, y, 1) == 1
-    with pytest.raises(GradeError):  # x has a term of upper grade 2, though it meets nothing
-        al.contract_product(x + E(2, [1, 2], [1, 2]), y, 1)
-    with pytest.raises(GradeError):
-        al.contract_product(x, y + E(2, [1], []), 1)
-    with pytest.raises(GradeError):
-        al.contract_product(x, y, 0)
-    with pytest.raises(DimensionMismatchError):
-        al.contract_product(x, E(3, [2], [1]), 1)
-
-
 def test_contract_word_delta_combination():
     """Grade-2 contraction of a raw word gives the two-delta combination."""
     n = 3

@@ -375,14 +375,23 @@ def test_huge_frame_exits_2_within_a_second():
 
 
 def test_hostile_powers_and_literals_exit_2_within_a_second():
-    """Chained and nested powers and a literal past Python's int(str) limit
-    exit 2 at the parser, with an error line and no traceback.  Before the
-    power bound the first ran for 6 s and the second died at once with a
-    ValueError from int-to-str conversion; the literal died in int()."""
+    """Chained and nested powers, products past the exponent or coefficient
+    cap, a literal past Python's int(str) limit and a frame-momentum power
+    whose pi -> L^-1 p rewrite would pass MAX_TERMS exit 2 before the work,
+    with an error line and no traceback.  Before the power bound the first
+    ran for 6 s and the second died at once with a ValueError from
+    int-to-str conversion; the literal died in int().  Before the product
+    bound the products were accepted or refused only when the report was
+    written; before the rewrite bound the last ran for 1.1 s and wrote
+    6.9 MB."""
     src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
-    for h in ("(3*y[])^64^64^64^64", "(((3*y[])^64)^64)^64", "1" * 5000 + "*y[]"):
+    dense = "2,1,1,1;1,3,1,1;1,1,5,1;1,1,1,7"
+    for extra, h in [(["--n", "1"], h) for h in (
+            "(3*y[])^64^64^64^64", "(((3*y[])^64)^64)^64", "1" * 5000 + "*y[]", "y[]^64*y[]^64",
+            "(y[]^40)*(y[]^40)", f"({'9' * 99})^43*{'9' * 99}*y[]")] + [
+            (["--n", "4", "--lambda", dense], "pi[1][]^40")]:
         done = subprocess.run(
-            [sys.executable, "-m", "dkpfields", "derive-dwh", "--n", "1", "--p", "0", "--H", h],
+            [sys.executable, "-m", "dkpfields", "derive-dwh", "--p", "0", *extra, "--H", h],
             capture_output=True, text=True, timeout=1,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
@@ -392,16 +401,18 @@ def test_hostile_powers_and_literals_exit_2_within_a_second():
 
 
 def test_coefficient_too_long_to_print_exits_2(capsys):
-    """A power whose coefficient would pass the digit cap stops at the
-    parser; a product that passes it after every power was accepted stops
-    when the report is written, in either format."""
+    """A power or a product whose coefficient would pass the digit cap
+    stops at the parser; an answer that passes it from inputs under the cap
+    stops when the report is written, in either format."""
     limit = sys.get_int_max_str_digits()
     c = "1234567890" * 7
     assert run_cli(["derive-dwh", "--n", "1", "--H", f"({c}*y[])^64"]) == (2, "")
     assert "coefficients of up to 4432 digits" in capsys.readouterr().err
-    big = f"({'9' * 99})^43*{'9' * 99}*y[]"
-    for argv in (["derive-dwh", "--n", "1", "--H", big],
-                 ["bracket", "--n", "1", "--G", big, "--F", "p[1][]"]):
+    assert run_cli(["derive-dwh", "--n", "1", "--H", f"({'9' * 99})^43*{'9' * 99}*y[]"]) == (2, "")
+    assert "product gives coefficients of up to 4357 digits" in capsys.readouterr().err
+    a = f"({'9' * 99})^43*{'9' * 42}"  # 4299 digits
+    for argv in (["derive-dwh", "--n", "1", "--H", f"{a}*y[]^64"],  # dH/dy[] = 64 a
+                 ["bracket", "--n", "1", "--G", f"{a}*y[]", "--F", f"{a}*p[1][]"]):  # a^2
         for fmt in ("text", "json"):
             assert run_cli(argv + ["--format", fmt]) == (2, ""), argv
             err = capsys.readouterr().err

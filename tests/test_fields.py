@@ -14,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 import dkpfields
 from dkpfields._linalg import SingularMatrixError, _integer_rows, identity, invert
-from dkpfields.algebra import BasisElement
-from dkpfields.dkp import FrameMap
+from dkpfields.algebra import BasisElement, contract
+from dkpfields.dkp import FrameMap, beta_mu
 from dkpfields.fields import (
     DwhEquations,
     FieldPoly,
     FieldSymbol,
     KindError,
     RankError,
+    SizeError,
     bracket,
     bracket_closed_form,
     check_jacobi_sym,
@@ -34,10 +35,10 @@ from dkpfields.fields import (
     nabla_adjoint,
     p_sym,
     pi_sym,
+    _adjoint_placed,
     _frame_subst,
     _gradient,
     _nabla,
-    symbol_poly,
     y_sym,
 )
 from dkpfields.suites import rand_field_poly, rand_frame
@@ -119,12 +120,6 @@ def test_partial_by_derivative_symbol_rejected():
     f = FieldPoly.of(dy_sym(1, ()))
     with pytest.raises(KindError):
         f.partial(dy_sym(1, ()))
-
-
-def test_symbol_poly_canonicalization():
-    assert symbol_poly("y", (), (2, 1), 3) == -1 * Y(1, 2)
-    assert symbol_poly("y", (), (1, 1), 3) == 0
-    assert symbol_poly("p", (1,), (3, 1), 3) == -1 * P(1, 1, 3)
 
 
 # -- nabla and adjoint ----------------------------------------------------------
@@ -794,6 +789,48 @@ def test_nabla_gradient_walk_matches_key_enumeration():
                 assert got_pi == _ref_nabla_by_keys(f_pi, p, n, "pi", identity(n))
                 for d in (*got.values(), *got_pi.values()):
                     _assert_canonical(d)
+
+
+def test_bracket_matches_the_contracted_product():
+    """The bracket read off the keys equals the vacuum coefficient of
+    contract(_adjoint_placed(nabla g') beta_mu (nabla f'), p), each product
+    formed as an element of G_n with polynomial coefficients, on dense
+    non-integer frames for n = 1..5 and p <= 2."""
+    rng = random.Random(89)
+    vacuum = BasisElement((), ())
+    for n in range(1, 6):
+        for p in range(min(n, 2) + 1):
+            for _ in range(4):
+                lam = _dense_frame(rng, n)
+                g = rand_field_poly(n, p, rng, nterms=4, deg=3)
+                f = rand_field_poly(n, p, rng, nterms=4, deg=3)
+                for mu in range(1, n + 1):
+                    left = _adjoint_placed(_nabla(g, p, n, "p", lam._rows))
+                    product = left * beta_mu(lam, mu, "lower_neg", n) * _nabla(f, p, n, "p", lam._rows)
+                    want = contract(product, p).coefficient(vacuum)
+                    got = bracket(g, f, mu, p, lam, n)
+                    assert got == want
+                    _assert_canonical(got)
+
+
+def test_frame_momentum_rewrite_is_bounded_before_it_expands(monkeypatch):
+    """pi^e with a t-term image under pi -> L^-1 p gives up to
+    C(e + t - 1, e) monomials; dwh_derive refuses an H whose rewrite could
+    pass MAX_TERMS before substituting, and a dense frame reaches the bound."""
+    lam = FrameMap([[2, 1, 1, 1], [1, 3, 1, 1], [1, 1, 5, 1], [1, 1, 1, 7]])
+    h = PI(1) ** 10 + PI(2) ** 2 * PI(3) + Y()
+    size = 286 + 10 * 4 + 1  # C(13, 3), C(5, 3) C(4, 3), y[]
+    with monkeypatch.context() as m:
+        m.setattr(FieldPoly, "substitute", _no_substitute)
+        m.setattr(dkpfields.fields, "MAX_TERMS", size - 1)
+        with pytest.raises(SizeError, match=f"up to {size} terms, above the cap {size - 1}"):
+            dwh_derive(h, 0, lam, 4)
+    monkeypatch.setattr(dkpfields.fields, "MAX_TERMS", size)
+    assert len(_frame_subst(PI(1) ** 10, _integer_rows(lam.lam_inv))) == 286
+    dwh_derive(h, 0, lam, 4)
+    # under the identity each image has one term, so a power stays one term
+    monkeypatch.setattr(dkpfields.fields, "MAX_TERMS", 1)
+    assert dwh_derive(PI(1) ** 64, 0, FrameMap.identity(4), 4) == dwh_derive(P(1) ** 64, 0, lam, 4)
 
 
 def test_symbol_index_below_one_is_refused():

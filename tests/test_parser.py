@@ -1,6 +1,7 @@
 """Expression grammar: anchors, errors with offsets, printer round-trip."""
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -8,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkpfields.fields import FieldPoly, RankError, p_sym, pi_sym, y_sym
+from dkpfields.fields import FieldPoly, FieldSymbol, RankError, p_sym, pi_sym, y_sym
 from dkpfields import parser
 from dkpfields._linalg import MAX_ENTRY_DIGITS
 from dkpfields.parser import MAX_EXPONENT, MAX_TERMS, ParseError, _tokenize, parse_expr
@@ -42,6 +43,13 @@ def test_index_canonicalization_sign():
 
 def test_repeated_index_is_zero():
     assert parse_expr("y[1,1]", 2, 2) == 0
+
+
+def test_symbol_canonicalization_at_n3():
+    """The sort sign and the zero of a repeated index, for y and p."""
+    assert parse_expr("y[2,1]", 3, 2) == -1 * Y(1, 2)
+    assert parse_expr("y[1,1]", 3, 2) == 0
+    assert parse_expr("p[1][3,1]", 3, 2) == -1 * P(1, 1, 3)
 
 
 def test_empty_multi_index():
@@ -205,6 +213,45 @@ def test_each_power_is_bounded_by_what_it_produces():
         parse_expr(f"(y[]+1/{c})^64", 1, 0)  # denominators count too
 
 
+def test_each_product_is_bounded_by_what_it_produces(monkeypatch):
+    """A product that would raise a symbol above MAX_EXPONENT, or hold a
+    coefficient above MAX_COEFFICIENT_DIGITS digits, stops at its '*'
+    before it is expanded, whether its sides are read into the term or
+    are parenthesised polynomials."""
+    nines = "9" * 99
+    for src, message, star in (
+            ("y[]^64*y[]^64", "symbol to the 128", 6),
+            ("(y[]^40)*(y[]^40)", "symbol to the 80", 8),
+            ("y[]^40*(y[]^30 + 1)", "symbol to the 70", 6),
+            ("(1 + y[]^30)*2*y[]^40", "symbol to the 70", 14),
+            ("p[1]*y[]^50*p[1]*y[]^20", "symbol to the 70", 16),
+            (f"({nines})^43*{nines}*y[]", "coefficients of up to 4357 digits", 104),
+            (f"({nines})^43*({nines}*y[] + 1)", "coefficients of up to 4357 digits", 104),
+            (f"1/{nines}^43*1/{nines}", "coefficients of up to 4357 digits", 104)):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_expr(src, 1, 0)
+        assert (src[exc.value.pos], exc.value.pos) == ("*", star), src
+    assert parse_expr("y[]^32*y[]^32", 1, 0) == Y() ** 64
+    assert parse_expr("(y[]^32)*(y[]^32 + p[1]^64)", 1, 0) == Y() ** 64 + Y() ** 32 * P(1) ** 64
+    assert parse_expr(f"({nines})^43*{'9' * 42}*y[]^64", 1, 0) == (
+        (10**99 - 1) ** 43 * (10**42 - 1) * Y() ** 64)
+    # a product that is zero produces nothing to bound
+    assert parse_expr("0*y[]^64*y[]^64", 1, 0) == 0
+    assert parse_expr("y[1,1]*y[1,2]^64*y[1,2]^64", 2, 2) == 0
+    assert parse_expr("(y[] - y[])*(y[]^64)*(y[]^64)", 1, 0) == 0
+
+    mul_into = parser._mul_into
+
+    def guarded(out, t1, t2):  # the sums of expr multiply by a constant
+        if len(t1) > 1 and len(t2) > 1:
+            raise AssertionError("a product was expanded past its bound")
+        return mul_into(out, t1, t2)
+
+    monkeypatch.setattr(parser, "_mul_into", guarded)
+    with pytest.raises(ParseError, match="symbol to the 80"):
+        parse_expr("(y[]^40 + 1)*(y[]^40 + 1)", 1, 0)
+
+
 def test_power_coefficient_bound_is_never_below_the_result(monkeypatch):
     """With the cap one digit under the longest coefficient a power really
     gives, that power is refused."""
@@ -281,3 +328,81 @@ def test_round_trip_fuzz(seed):
     src = _random_source(rng, n, p)
     poly = parse_expr(src, n, p)
     assert parse_expr(str(poly), n, p) == poly
+
+
+def _ref_symbol(kind, lead, seq):
+    """The value of a symbol with an unsorted multi-index: the sign of the
+    sort, counted by inversions, or zero when an index repeats."""
+    if len(set(seq)) != len(seq):
+        return FieldPoly.zero()
+    inversions = sum(seq[i] > seq[j] for i in range(len(seq)) for j in range(i + 1, len(seq)))
+    return (-1) ** inversions * FieldPoly.of(FieldSymbol(kind, lead, tuple(sorted(seq))))
+
+
+def _draw(rng, n, p, depth):
+    """(text, shape, value) of a random expression tree, its value computed
+    with FieldPoly arithmetic.  shape says where the text needs parentheses:
+    'sum', 'prod', 'neg', or 'atom' for what may take a power."""
+    sp = lambda: rng.choice(("", "", " "))
+    r = rng.random() if depth < 4 else rng.random() * 0.45
+    if r < 0.15:
+        a = rng.randint(0, 12)
+        if rng.random() < 0.5:
+            b = rng.randint(1, 12)
+            return f"{a}/{b}", "atom", FieldPoly.const(Fraction(a, b))
+        return str(a), "atom", FieldPoly.const(a)
+    if r < 0.45:
+        kind = rng.choice(("y", "pi", "p"))
+        seq = [rng.randint(1, n) for _ in range(p)]  # unsorted, and repeats
+        group = f"[{sp()}{(sp() + ',' + sp()).join(map(str, seq))}{sp()}]"
+        lead = () if kind == "y" else (rng.randint(1, n),)
+        if kind == "y":
+            text = "y" + sp() + group
+        elif p == 0 and rng.random() < 0.3:
+            text = f"{kind}[{lead[0]}]"
+        else:
+            text = f"{kind}[{lead[0]}]{sp()}{group}"
+        return text, "atom", _ref_symbol(kind, lead, seq)
+    if r < 0.6:
+        text, shape, value = _draw(rng, n, p, depth + 1)
+        for _ in range(rng.randint(1, 2)):
+            t, sh, v = _draw(rng, n, p, depth + 1)
+            if rng.random() < 0.5:
+                text, value = f"{text}{sp()}+{sp()}{t}", value + v
+            else:
+                text, value = f"{text}{sp()}-{sp()}{f'({t})' if sh == 'sum' else t}", value - v
+        return text, "sum", value
+    if r < 0.75:
+        parts = [_draw(rng, n, p, depth + 1) for _ in range(rng.randint(2, 3))]
+        text = (sp() + "*" + sp()).join(f"({t})" if sh == "sum" else t for t, sh, _ in parts)
+        return text, "prod", reduce(mul, (v for *_, v in parts))
+    t, sh, v = _draw(rng, n, p, depth + 1)
+    if r < 0.85:
+        return "-" + sp() + (f"({t})" if sh == "sum" else t), "neg", -v
+    if r < 0.95:
+        e = rng.choice((0, 1, 2, 3))
+        return f"{f'({t})' if sh != 'atom' else t}^{e}", "atom", v**e
+    return f"({sp()}{t}{sp()})", "atom", v
+
+
+def test_parser_matches_the_tree_it_prints():
+    """Seeded random trees of sums, products, parentheses, unary minus,
+    chained powers and ^0 over numbers, rationals and y/pi/p symbols with
+    unsorted and repeated multi-indices, n <= 5 and p <= 3: the parse of the
+    printed text equals the tree's value, computed with FieldPoly
+    arithmetic, and prints the same."""
+    rng = random.Random(2024)
+    texts = []
+    while len(texts) < 400:
+        n = rng.randint(1, 5)
+        p = rng.randint(0, min(n, 3))
+        text, _, value = _draw(rng, n, p, 0)
+        if len(value) > 300 or max((e for m in value.num for _, e in m), default=0) > 16:
+            continue  # keep the corpus small and every product under the bounds
+        got = parse_expr(text, n, p)
+        assert got == value, text
+        assert str(got) == str(value), text
+        texts.append(text)
+    for part in (r"\^0", "/", r"pi\[", r"\bp\[", r"y\s*\[", r"\d\^\d\^", r"\)\^", r"\*\s*-",
+                 r"-\s*-", r"-\s*\(", r"^-", r"\[\d*\s*(\d+)\s*,\s*\1\b", r"\[\s*[2-5]\s*,\s*1\b"):
+        assert any(re.search(part, t) for t in texts), part
