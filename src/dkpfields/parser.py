@@ -95,7 +95,11 @@ def _tokenize(src):
 
 class _Parser:
     def __init__(self, src, n, p):
-        self.src, self.n, self.p, self.tokens, self.i = src, n, p, _tokenize(src), 0
+        self.src = src
+        self.n = n
+        self.p = p
+        self.tokens = _tokenize(src)
+        self.i = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -123,32 +127,28 @@ class _Parser:
             val = self.factor()
             # the terms so far: a monomial maps the terms of poly one to one
             size = (1 if poly is None else len(poly)) if c else 0
-            if type(val) is tuple:
+            tup = type(val) is tuple
+            if tup:
                 a, b, sym, k = val
-                if star is not None and poly is not None:
-                    _check_terms(size if a else 0, star)
+            # +-s^k times read factors alone can only raise the exponent of s
+            if star is not None and not (tup and poly is None and abs(a) == 1 == b
+                                         and powers.get(sym, 0) + k <= MAX_EXPONENT):
+                vt, vs, vd, vtop = _sizes(val)
+                _check_terms(size * vt, star)
+                if size and vt:
+                    _check_bounds("product", max((powers.get(x, 0) + top.get(x, 0) + e
+                                                  for x, e in vtop.items()), default=0),
+                                  max((abs(c) * s * vs).bit_length(), (d * dn * vd).bit_length()),
+                                  star)
+            if tup:
                 g = gcd(c * a, d * b)
                 c, d = c * a // g, d * b // g
                 if k:
                     powers[sym] = powers.get(sym, 0) + k
-                x = powers[sym] + top.get(sym, 0) if k else 0
-                # a factor +-s^k leaves the coefficients as they are
-                if star is not None and c and size and (abs(a) > 1 or b > 1 or x > MAX_EXPONENT):
-                    _check_bounds("product", x, max((abs(c) * s).bit_length(),
-                                                    (d * dn).bit_length()), star)
-            else:
-                vt, vs, vd, vtop = _sizes(val)
-                if star is not None:
-                    _check_terms(size * vt, star)
-                    if size and vt:
-                        _check_bounds("product", max((powers.get(x, 0) + top.get(x, 0) + e
-                                                      for x, e in vtop.items()), default=0),
-                                      max((abs(c) * s * vs).bit_length(),
-                                          (d * dn * vd).bit_length()), star)
-                if c:  # a zero term takes no product
-                    poly = val if poly is None else FieldPoly._make(
-                        _mul_into({}, poly.num, val.num), poly.den * val.den)
-                    _, s, dn, top = _sizes(poly)
+            elif c:  # a zero term takes no product
+                poly = val if poly is None else FieldPoly._make(_mul_into({}, poly.num, val.num),
+                                                                poly.den * val.den)
+                _, s, dn, top = _sizes(poly)
             if self.peek()[1] != "*":
                 break
             star = self.next()[2]
