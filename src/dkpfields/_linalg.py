@@ -140,6 +140,53 @@ def invert(m):
     return _fractions(_inverse_rows(_integer_rows(m)))
 
 
+class _InvertibleMatrix:
+    """Invertible square matrix m; raises SingularMatrixError if singular.
+
+    m and m^-1 are kept as (int rows, den) pairs with den > 0: m read
+    straight from its entries (ints, Fractions or rational strings, by
+    _read_rows, so no Fraction is built per string), m^-1 from one Bareiss
+    pass over it.  Their Fraction matrices, and whatever else a subclass
+    derives from them, are built on first use and kept in _cache.
+    """
+
+    __slots__ = ("n", "_rows", "_inv_rows", "_cache")
+
+    def __init__(self, rows):
+        self._rows = _read_rows(rows)
+        self.n = len(self._rows[0])
+        self._check()
+        self._inv_rows = _inverse_rows(self._rows)
+        self._cache = {}
+
+    def _check(self):
+        """Raise for a matrix the subclass does not take, before it is inverted."""
+
+    @classmethod
+    def identity(cls, n):
+        return cls(identity(n))
+
+    def _cached(self, key, build):
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = build()
+        return got
+
+    @property
+    def _matrix(self):
+        return self._cached("m", lambda: _fractions(self._rows))
+
+    @property
+    def _inverse(self):
+        return self._cached("m_inv", lambda: _fractions(self._inv_rows))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._rows == other._rows
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(r) for r in self._matrix]})"
+
+
 def _apply_rows(m, v):
     """(int numerators, den) of m v, m an (int rows, den) pair; v is scaled to ints."""
     rows, den = m

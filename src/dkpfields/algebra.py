@@ -31,8 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from ._linalg import SingularMatrixError, _apply_rows, _fractions, _inverse_rows, _read_rows
-from ._linalg import compound, identity, transpose
+from ._linalg import SingularMatrixError, _apply_rows, _InvertibleMatrix, compound
 
 __all__ = [
     "AlgebraElement",
@@ -390,30 +389,25 @@ def embed_covector(a, n=None):
     return _embed(a, n, covector=True)
 
 
-class Metric:
-    """Symmetric invertible matrix with exact inverse; raises if singular.
+class Metric(_InvertibleMatrix):
+    """Symmetric invertible matrix g with exact inverse; raises if singular.
 
-    g and g^-1 are also kept as (int rows, den) pairs: g straight from the
-    entries, by the reader FrameMap shares (_linalg._read_rows), and g^-1
-    from one Bareiss pass over it.  flat, sharp, pair and pair_inv run in
-    ints and build one Fraction per result component.
+    flat, sharp, pair and pair_inv run in ints on the (int rows, den) pairs
+    of g and g^-1 and build one Fraction per result component.
     """
 
-    __slots__ = ("n", "g", "g_inv", "_minors", "_rows", "_inv_rows")
+    __slots__ = ()
+    g = _InvertibleMatrix._matrix
+    g_inv = _InvertibleMatrix._inverse
 
-    def __init__(self, rows):
-        self._rows = _read_rows(rows)
-        self.g = _fractions(self._rows)
-        self.n = len(self.g)
-        if self.g != transpose(self.g):
+    def _check(self):
+        a = self._rows[0]
+        if a != [list(col) for col in zip(*a)]:
             raise ValueError("metric must be symmetric")
-        self._inv_rows = _inverse_rows(self._rows)
-        self.g_inv = _fractions(self._inv_rows)
-        self._minors = {}
 
     @classmethod
     def euclidean(cls, n):
-        return cls(identity(n))
+        return cls.identity(n)
 
     def flat(self, v):
         """Lower an index: vector components -> covector components."""
@@ -448,16 +442,7 @@ class Metric:
         Built on the first request for grade p and kept with the metric, so a
         metric that never meets an adjoint never pays for them.
         """
-        got = self._minors.get(p)
-        if got is None:
-            got = self._minors[p] = (compound(self.g, p), compound(self.g_inv, p))
-        return got
-
-    def __eq__(self, other):
-        return isinstance(other, Metric) and self.g == other.g
-
-    def __repr__(self):
-        return f"Metric({[list(r) for r in self.g]})"
+        return self._cached(p, lambda: (compound(self.g, p), compound(self.g_inv, p)))
 
 
 def adjoint(x, g):

@@ -68,32 +68,20 @@ def _check_size(n, p, frame):
         )
 
 
-def _parse_matrix(text, n):
-    """Entry strings of an n x n matrix.  Metric and FrameMap read them with
-    one reader, _linalg._read_rows, which refuses an entry above
-    MAX_ENTRY_DIGITS before any arithmetic."""
-    if text == "identity":
-        from ._linalg import identity
-
-        return identity(n)
-    rows = [chunk.split(",") for chunk in text.split(";")]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise UsageError(f"matrix must be {n}x{n}")
-    return rows
-
-
-def _metric(args):
+def _read_matrix(cls, text, n, what):
+    """cls (Metric or FrameMap) of text, 'identity' or an n x n matrix of
+    row-major entries 'a,b;c,d'.  Both read the entry strings with one
+    reader, _linalg._read_rows, which refuses an entry above
+    MAX_ENTRY_DIGITS before any arithmetic; every error is a UsageError."""
     try:
-        return al.Metric(_parse_matrix(args.metric, args.n))
-    except (al.SingularMatrixError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid metric: {exc}") from exc
-
-
-def _frame(args):
-    try:
-        return FrameMap(_parse_matrix(args.lam, args.n))
-    except (al.SingularMatrixError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"invalid frame map: {exc}") from exc
+        if text == "identity":
+            return cls.identity(n)
+        rows = [chunk.split(",") for chunk in text.split(";")]
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"matrix must be {n}x{n}")
+        return cls(rows)
+    except (ValueError, ZeroDivisionError) as exc:  # SingularMatrixError is a ValueError
+        raise UsageError(f"invalid {what}: {exc}") from exc
 
 
 def _unprintable():
@@ -174,8 +162,9 @@ def _cmd_verify(args, out):
             f"verify takes --lambda for n <= {FRAME_MAX_N} only; its frame groups run at that size"
         )
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    metric = _metric(args) if args.metric != "identity" else None
-    lam = _frame(args) if args.lam != "identity" else None
+    metric = (_read_matrix(al.Metric, args.metric, args.n, "metric")
+              if args.metric != "identity" else None)
+    lam = _read_matrix(FrameMap, args.lam, args.n, "frame map") if args.lam != "identity" else None
     checks = run_suites(names, args.n, args.seed, metric=metric, lam=lam)
     results = [
         {"name": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
@@ -208,7 +197,7 @@ def _cmd_dims(args, out):
 def _cmd_derive_dwh(args, out):
     if args.H is None:
         raise UsageError("derive-dwh requires --H")
-    lam = _frame(args)
+    lam = _read_matrix(FrameMap, args.lam, args.n, "frame map")
     try:
         h = parse_expr(args.H, args.n, args.p)
         eqs = dwh_derive(h, args.p, lam, args.n)
@@ -235,7 +224,7 @@ def _cmd_derive_dwh(args, out):
 def _cmd_bracket(args, out):
     if args.G is None or args.F is None:
         raise UsageError("bracket requires --G and --F")
-    lam = _frame(args)
+    lam = _read_matrix(FrameMap, args.lam, args.n, "frame map")
     try:
         g = parse_expr(args.G, args.n, args.p)
         f = parse_expr(args.F, args.n, args.p)

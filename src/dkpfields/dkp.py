@@ -35,7 +35,7 @@ every invertible L and reduces to the delta form when L L^T = 1.
 
 from fractions import Fraction
 
-from ._linalg import _fractions, _inverse_rows, _read_rows, identity, mat_mul, transpose
+from ._linalg import _InvertibleMatrix, identity, mat_mul, transpose
 from .algebra import AlgebraElement, BasisElement, IndexRangeError, Metric, _components
 from .algebra import projector_p, projector_pi
 
@@ -44,46 +44,17 @@ FAMILIES = ("b_upper", "b_upper_neg", "b_lower_neg", "beta_lower", "beta_lower_n
 _COVECTOR_FAMILIES = ("b_upper", "b_upper_neg")
 
 
-class FrameMap:
+class FrameMap(_InvertibleMatrix):
     """Invertible square frame matrix L.
 
-    L and L^-1 are kept as (int rows, den) pairs with den > 0: L read
-    straight from its entries (ints, Fractions or rational strings, by
-    _linalg._read_rows, so no Fraction is built per string), L^-1 from one
-    Bareiss pass over it.  dwh_derive, bracket and beta_mu('lower_neg')
-    read the pairs.  The Fraction matrices lam and lam_inv are built on
-    first use.
+    dwh_derive, bracket and beta_mu('lower_neg') read the (int rows, den)
+    pairs of L and L^-1; the Fraction matrices lam and lam_inv are built
+    on first use.
     """
 
-    __slots__ = ("n", "_rows", "_inv_rows", "_lam", "_lam_inv")
-
-    def __init__(self, rows):
-        self._rows = _read_rows(rows)
-        self.n = len(self._rows[0])
-        self._inv_rows = _inverse_rows(self._rows)
-        self._lam = self._lam_inv = None
-
-    @classmethod
-    def identity(cls, n):
-        return cls(identity(n))
-
-    @property
-    def lam(self):
-        if self._lam is None:
-            self._lam = _fractions(self._rows)
-        return self._lam
-
-    @property
-    def lam_inv(self):
-        if self._lam_inv is None:
-            self._lam_inv = _fractions(self._inv_rows)
-        return self._lam_inv
-
-    def __eq__(self, other):
-        return isinstance(other, FrameMap) and self._rows == other._rows
-
-    def __repr__(self):
-        return f"FrameMap({[list(r) for r in self.lam]})"
+    __slots__ = ()
+    lam = _InvertibleMatrix._matrix
+    lam_inv = _InvertibleMatrix._inverse
 
 
 def _index(i, n):

@@ -3,8 +3,8 @@
 Vectors map to annihilation operators and covectors to creation operators
 on the 2^n occupation basis, which realizes the defining anticommutation
 relations directly.  Everything here is built from the combinatorial
-definition of a_i / a+_j and dense exact matrix products only, never from
-the structure-constant product, so equality
+definition of a_i / a+_i as signed partial maps on occupation states
+(_act), never from the structure-constant product, so equality
 
     represent(x * y) == represent(x) @ represent(y)
 
@@ -13,15 +13,15 @@ is an independent check of the algebra multiplication.
 Basis states are occupation bitmasks: state s has mode i occupied iff bit
 (i-1) of s is set, and the column/row index of |s> is s itself.  The
 fermionic phase of a_i / a+_i on |s> is (-1)^(number of occupied modes
-below i).  Dense matrices are fine here: n is capped at 4 (16 x 16).
+below i).  A basis element's image is found by applying its generator
+word to each column state in turn, so it is built without any matrix
+product; every image is a single +-1 entry.
 """
 
 from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraElement, IndexRangeError
-
-_ORACLE_N_CAP = 4
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -86,10 +86,6 @@ class DenseOperator:
     def transpose(self):
         return DenseOperator._trusted(self.n, tuple(zip(*self.rows)))
 
-    @property
-    def is_zero(self):
-        return all(not x for row in self.rows for x in row)
-
     def __eq__(self, other):
         return isinstance(other, DenseOperator) and self.n == other.n and self.rows == other.rows
 
@@ -105,55 +101,55 @@ def _phase(state, i):
     return -1 if bin(below).count("1") % 2 else 1
 
 
+def _act(kind, i, state):
+    """(state', sign) of a_i ('vector') or a+_i ('covector') on |state>, or
+    None when it annihilates the state."""
+    bit = 1 << (i - 1)
+    if bool(state & bit) != (kind == "vector"):
+        return None
+    return state ^ bit, _phase(state, i)
+
+
 def represent_generator(kind, index, n):
     """Matrix of one generator: 'vector' -> a_i, 'covector' -> a+_j."""
     if not 1 <= index <= n:
         raise IndexRangeError(f"index {index} outside 1..{n}")
+    if kind not in ("vector", "covector"):
+        raise ValueError(f"unknown generator kind {kind!r}")
     dim = 1 << n
     rows = [[_ZERO] * dim for _ in range(dim)]
-    bit = 1 << (index - 1)
-    if kind == "covector":
-        for s in range(dim):
-            if not s & bit:
-                rows[s | bit][s] = Fraction(_phase(s, index))
-    elif kind == "vector":
-        for s in range(dim):
-            if s & bit:
-                rows[s & ~bit][s] = Fraction(_phase(s, index))
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+    for s in range(dim):
+        hit = _act(kind, index, s)
+        if hit is not None:
+            rows[hit[0]][s] = hit[1]
     return DenseOperator(n, rows)
 
 
 @cache
-def _vacuum_matrix(n):
-    """Image of the vacuum word a_1 .. a_n a+_n .. a+_1, by multiplication."""
-    m = DenseOperator.identity(n)
-    for i in range(1, n + 1):
-        m = m @ represent_generator("vector", i, n)
-    for i in range(n, 0, -1):
-        m = m @ represent_generator("covector", i, n)
-    return m
-
-
-@cache
 def _basis_nonzeros(be, n):
-    """(row, col, value) entries of one basis element's generator-product matrix."""
-    m = _vacuum_matrix(n)
-    for j in reversed(be.upper):
-        m = represent_generator("covector", j, n) @ m
-    for k in reversed(be.lower):
-        m = m @ represent_generator("vector", k, n)
-    return tuple(
-        (i, j, x) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x
-    )
+    """(row, col, sign) entries of E(J, K): its word
+    a+_j1 .. a+_jp a_1 .. a_n a+_n .. a+_1 a_kq .. a_k1 applied to each
+    column state, rightmost factor first."""
+    word = ([("vector", k) for k in be.lower]
+            + [("covector", i) for i in range(1, n + 1)]
+            + [("vector", i) for i in range(n, 0, -1)]
+            + [("covector", j) for j in reversed(be.upper)])
+    out = []
+    for col in range(1 << n):
+        state, sign = col, 1
+        for kind, i in word:
+            hit = _act(kind, i, state)
+            if hit is None:
+                break
+            state, sign = hit[0], sign * hit[1]
+        else:
+            out.append((state, col, sign))
+    return tuple(out)
 
 
 def represent(x: AlgebraElement) -> DenseOperator:
     """Represent an algebra element on the Fock space, term by term."""
     n = x.n
-    if n > _ORACLE_N_CAP:
-        raise IndexRangeError(f"oracle capped at n <= {_ORACLE_N_CAP}")
     dim = 1 << n
     acc = [[_ZERO] * dim for _ in range(dim)]
     for be, c in x.terms():

@@ -27,7 +27,8 @@ exponent} map, and a parenthesised factor in as a FieldPoly; the
 expression adds its terms into one numerator dict over one denominator.
 
 Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
-product or power whose term count could exceed MAX_TERMS, is a ParseError.
+product or power whose term count could exceed MAX_TERMS, is a ParseError,
+and so is a sum whose result has more than MAX_TERMS terms.
 Each power and each nonzero product is bounded by what it produces, so
 chained and nested powers and repeated factors are bounded too: no symbol
 may reach an exponent above MAX_EXPONENT, and no coefficient more than
@@ -110,12 +111,15 @@ class _Parser:
         return tok
 
     def expr(self):
+        start = self.peek()[2]
         terms = [(1, *self.term())]
         while self.peek()[1] in ("+", "-"):
             terms.append((1 if self.next()[1] == "+" else -1, *self.term()))
         den, out = lcm(*(d for _, _, d in terms)), {}
         for sign, num, d in terms:
             _mul_into(out, num, {(): sign * (den // d)})
+        if len(out) > MAX_TERMS:
+            raise ParseError(f"sum of {len(out)} terms is above the cap {MAX_TERMS}", start)
         return FieldPoly._make(out, den)
 
     def term(self):
@@ -297,7 +301,10 @@ def _check_terms(bound, pos):
 def parse_expr(src, n, p) -> FieldPoly:
     """Parse a polynomial in y/pi/p symbols of rank p over dimension n."""
     parser = _Parser(src, n, p)
-    poly = parser.expr()
+    try:
+        poly = parser.expr()
+    except RecursionError:  # parentheses or unary minuses nested past the interpreter's limit
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
     kind, text, pos, _ = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected trailing {text!r}", pos)

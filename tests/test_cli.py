@@ -9,6 +9,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 import test_acceptance
@@ -319,7 +320,7 @@ def _stub_work(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("_frame", "parse_expr", "dwh_derive", "bracket", "dim_zp"):
+    for name in ("_read_matrix", "parse_expr", "dwh_derive", "bracket", "dim_zp"):
         monkeypatch.setattr(cli, name, reached)
 
 
@@ -498,6 +499,110 @@ def test_json_writer_refuses_a_float():
         cli._json(cli._report("dims", {"n": 2.0}, [], 0, 0))
 
 
+def _fuzz_symbol(rng, n, p, names):
+    """A symbol of rank p over n, its indices now and then one past n."""
+    idx = ",".join(str(rng.randint(1, n + (rng.random() < 0.05))) for _ in range(p))
+    name = rng.choice(names)
+    if name == "y":
+        return f"y[{idx}]"
+    return f"{name}[{rng.randint(1, n)}]" + (f"[{idx}]" if p or rng.random() < 0.5 else "")
+
+
+def _fuzz_expr(rng, n, p, names, depth=0):
+    """A well-formed sum of products of numbers, symbols and sums in
+    parentheses, nested at most two deep."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.2:
+                f = f"{rng.randint(0, 9)}" + (f"/{rng.randint(1, 5)}" if rng.random() < 0.3 else "")
+            elif roll < 0.3 and depth < 2:
+                f = f"({_fuzz_expr(rng, n, p, names, depth + 1)})"
+            else:
+                f = _fuzz_symbol(rng, n, p, names)
+            factors.append(f + (f"^{rng.randint(0, 4)}" if rng.random() < 0.3 else ""))
+        terms.append(rng.choice(("", "-")) + "*".join(factors))
+    return rng.choice(("+", " - ")).join(terms)
+
+
+_HOSTILE_TEXTS = [
+    "", " ", "y[]^99999", "y[]^64^64", "y[]^64*y[]^64", "9" * 101, "1/0", "1/0*y[]",
+    "(" * 400 + "y[]" + ")" * 400, "-" * 1500 + "y[]", "(" * 50, ")", "y[" + "1," * 300 + "1]",
+    "p[1][" * 40, "y[]\x00", "\u00e9", "pi[99999999999]", "p[0][]", "y[-1]", "2^64^64^64",
+    "(y[]+pi[1]+pi[2]+pi[3])^40", "(y[]+p[1])^64*(y[]+p[1])^64", "1e5", "0.5*y[]", "y[]**2",
+]
+_FUZZ_ALPHABET = "()[]^*/+-,. 0123456789ypi"
+
+
+def _fuzz_text(rng, n, p, names=("y", "y", "p")):
+    """A well-formed expression, now and then truncated, dented or replaced
+    by a hostile text; bracket observables take y and p symbols only."""
+    text = _fuzz_expr(rng, n, p, names)
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(_HOSTILE_TEXTS)
+    if roll < 0.15:
+        return text[:rng.randint(0, len(text))]
+    if roll < 0.2:
+        i = rng.randint(0, len(text))
+        return text[:i] + rng.choice(_FUZZ_ALPHABET) + text[i + 1:]
+    return text
+
+
+def _fuzz_matrix(rng, n):
+    roll = rng.random()
+    if roll < 0.3:
+        return "identity"
+    if roll < 0.45:
+        return rng.choice(["", "x", "1/0", "1e1000000", "9" * 150, "1,2;3", ";;", "0.5", "-1"])
+    m = rng.choice((n, n, n, n + 1))
+    entries = ["0", "1", "1", "2", "-1", "1/2", "0.5", "1e-2"]
+    if rng.random() < 0.2:
+        entries += ["", "x"]
+    return ";".join(",".join(rng.choice(entries) for _ in range(m)) for _ in range(m))
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(("verify", "dims", "derive-dwh", "derive-dwh", "bracket", "bracket"))
+    n = rng.choice((1, 2, 3, 3)) if command != "verify" else rng.choice((1, 1, 2))
+    p = rng.randint(0, n)
+    argv = [command, "--n", str(n) if rng.random() < 0.9 else rng.choice(("0", "-1", "x", "1.5"))]
+    if command == "verify":
+        argv += ["--suite", rng.choice(("all", "core", "dkp", "subspaces", "bracket", "nosuch")),
+                 "--seed", str(rng.randint(0, 99))]
+        if rng.random() < 0.4:
+            argv += [rng.choice(("--metric", "--lambda")), _fuzz_matrix(rng, n)]
+    elif command == "derive-dwh":
+        argv += ["--p", str(p), "--H", _fuzz_text(rng, n, p, ("y", "y", "p", "pi"))]
+    elif command == "bracket":
+        argv += ["--p", str(p), "--mu", str(rng.randint(1, n) if rng.random() < 0.9 else n + 1),
+                 "--G", _fuzz_text(rng, n, p), "--F", _fuzz_text(rng, n, p)]
+    if command in ("derive-dwh", "bracket") and rng.random() < 0.3:
+        argv += ["--lambda", _fuzz_matrix(rng, n)]
+    if rng.random() < 0.3:
+        argv += ["--format", rng.choice(("text", "json", "json", "xml"))]
+    if rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_seeded_argv_fuzz():
+    """300 seeded argv over the four subcommands, malformed and hostile texts
+    included: each exits 0, 1 or 2 within 1 s and prints no traceback."""
+    rng = random.Random(1)
+    codes = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        start = time.perf_counter()
+        code, _, err = run_argv(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        assert time.perf_counter() - start < 1, argv
+        codes.add(code)
+    assert codes >= {0, 2}
+
+
 # argv that argparse answers with help or a usage error, two that run, and
 # --H texts the expression parser refuses; their exit codes and output are
 # pinned in ARGV_PINS
@@ -526,6 +631,7 @@ PINNED_ARGVS = [
     ["derive-dwh", "--n", "2", "--H", "1/0*y[]"],
     ["derive-dwh", "--n", "2", "--H", "y[] y[]"],
     ["derive-dwh", "--n", "4", "--p", "1", "--H", "y[5]"],
+    ["derive-dwh", "--n", "4", "--H", "(y[]+p[1]+p[2]+p[3]+p[4])^16+(y[]+p[1]+p[2]+p[3]+p[4])^17"],
 ]
 ARGV_PINS = pathlib.Path(__file__).with_name("argv_pins.json")
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dkpfields import algebra as al
+from dkpfields import fock
 from dkpfields.algebra import IndexRangeError, Metric
 from dkpfields.fock import DenseOperator, represent, represent_generator
 from dkpfields.suites import rand_element
@@ -32,7 +33,7 @@ def test_generator_index_range():
 
 
 def test_car_relations_matrices():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 5):
         eye = DenseOperator.identity(n)
         zero = DenseOperator.zero(n)
         a = [represent_generator("vector", i, n) for i in range(1, n + 1)]
@@ -94,14 +95,71 @@ def test_adjoint_is_transpose_for_euclidean_metric():
         assert represent(al.adjoint(x, d3)) == represent(x).transpose()
 
 
+def _embeddings_match(n):
+    """Whether each e_i embeds as a_i and each e^i as a+_i, one bool per check."""
+    for i in range(1, n + 1):
+        e = tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+        yield represent(al.embed_vector(e, n)) == represent_generator("vector", i, n)
+        yield represent(al.embed_covector(e, n)) == represent_generator("covector", i, n)
+
+
 def test_embeddings_match_generator_matrices():
-    for n in (1, 2, 3):
-        for i in range(1, n + 1):
-            e = tuple(Fraction(int(k == i)) for k in range(1, n + 1))
-            assert represent(al.embed_vector(e, n)) == represent_generator("vector", i, n)
-            assert represent(al.embed_covector(e, n)) == represent_generator("covector", i, n)
+    for n in (1, 2, 3, 5):
+        assert all(_embeddings_match(n))
 
 
-def test_oracle_cap():
-    with pytest.raises(IndexRangeError):
-        represent(al.unit(5))
+@pytest.mark.parametrize("n, seed", [(5, 5), (6, 6)])
+def test_uncapped_homomorphism_and_transpose(n, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        x, y = rand_element(n, rng), rand_element(n, rng)
+        assert represent(x * y) == represent(x) @ represent(y)
+    delta = Metric.euclidean(n)
+    for _ in range(10):
+        x = rand_element(n, rng)
+        assert represent(al.adjoint(x, delta)) == represent(x).transpose()
+
+
+@pytest.fixture
+def mutant_act(monkeypatch):
+    """Install a wrapper around fock._act, with the image cache cleared
+    before and after so that no other test sees a mutant image."""
+    real = fock._act
+
+    def install(mutate):
+        monkeypatch.setattr(fock, "_act", lambda kind, i, s: mutate(kind, i, real(kind, i, s)))
+        fock._basis_nonzeros.cache_clear()
+
+    yield install
+    monkeypatch.undo()
+    fock._basis_nonzeros.cache_clear()
+
+
+def _homomorphism_holds(n, draws, seed):
+    rng = random.Random(seed)
+    return all(represent(x * y) == represent(x) @ represent(y)
+               for x, y in ((rand_element(n, rng), rand_element(n, rng)) for _ in range(draws)))
+
+
+def test_flipped_generator_sign_fails_homomorphism(mutant_act):
+    """a_1 with the opposite sign: every basis image changes sign with the
+    parity of its a_1 factors, so E * E' and E E' disagree on some pair."""
+    assert _homomorphism_holds(5, 20, 7)
+    mutant_act(lambda kind, i, hit: hit if hit is None or (kind, i) != ("vector", 1)
+               else (hit[0], -hit[1]))
+    assert not _homomorphism_holds(5, 20, 7)
+
+
+def test_constant_phase_fails_embedding_match(mutant_act):
+    """A constant +1 phase in place of the fermionic one.
+
+    The homomorphism alone cannot see it: the product in the projector
+    basis is the sign-free matrix-unit rule, and with a +1 phase every basis
+    image is still one +1 matrix unit, so core/representation oracle passes.
+    Only the embeddings, whose signs are fixed against the fermionic
+    phase, catch it.
+    """
+    assert all(_embeddings_match(5))
+    mutant_act(lambda kind, i, hit: hit and (hit[0], 1))
+    assert _homomorphism_holds(5, 20, 7)
+    assert not all(_embeddings_match(5))

@@ -190,6 +190,36 @@ def test_expansion_caps_fail_before_expanding(monkeypatch):
         parse_expr(f"({side.format(a=1)})*({side.format(a=2)})", 2, 0)
 
 
+def test_each_sum_is_bounded_by_its_result(monkeypatch):
+    """A sum whose result has more than MAX_TERMS terms is refused where it
+    starts, bare or inside a factor, as a product of as many terms is."""
+    five = "(y[]+p[1]+p[2]+p[3]+p[4])"
+    for src, pos in ((f"{five}^16+{five}^17", 0), (f"({five}^16+{five}^17)*y[]", 1)):
+        with pytest.raises(ParseError, match="sum of 10830 terms is above the cap") as exc:
+            parse_expr(src, 4, 0)
+        assert exc.value.pos == pos
+    # terms that cancel leave a result under the cap
+    assert len(parse_expr(f"{five}^16+{five}^17-{five}^17", 4, 0)) == 4845
+    monomials = [f"y[]^{a}*p[1]^{b}*p[2]^{c}" for a in range(22) for b in range(22)
+                 for c in range(22)]
+    with pytest.raises(ParseError, match=f"sum of {MAX_TERMS + 1} terms"):
+        parse_expr("+".join(monomials[:MAX_TERMS + 1]), 2, 0)
+    monkeypatch.setattr(parser, "MAX_TERMS", 30)
+    assert len(parse_expr("+".join(monomials[:30]), 2, 0)) == 30
+    with pytest.raises(ParseError, match="sum of 31 terms is above the cap 30"):
+        parse_expr("+".join(monomials[:31]), 2, 0)
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    """Parentheses and unary minuses nest by recursion; past the
+    interpreter's limit the text is refused like any malformed one."""
+    assert parse_expr("(" * 100 + "y[]" + ")" * 100, 1, 0) == Y()
+    assert parse_expr("-" * 100 + "y[]", 1, 0) == Y()
+    for src in ("(" * 5000 + "y[]" + ")" * 5000, "-" * 5000 + "y[]"):
+        with pytest.raises(ParseError, match="expression nests too deeply"):
+            parse_expr(src, 1, 0)
+
+
 def test_each_power_is_bounded_by_what_it_produces():
     """Chained and nested powers stop at the '^' whose result would raise a
     symbol above MAX_EXPONENT or hold a coefficient above
