@@ -216,7 +216,3 @@ def mat_mul(a, b):
         tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
         for i in range(n)
     )
-
-
-def transpose(m):
-    return tuple(tuple(row[j] for row in m) for j in range(len(m)))

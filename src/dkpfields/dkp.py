@@ -34,8 +34,9 @@ every invertible L and reduces to the delta form when L L^T = 1.
 """
 
 from fractions import Fraction
+from operator import mul
 
-from ._linalg import _InvertibleMatrix, identity, mat_mul, transpose
+from ._linalg import _InvertibleMatrix
 from .algebra import AlgebraElement, BasisElement, IndexRangeError, Metric, _components
 from .algebra import projector_p, projector_pi
 
@@ -144,10 +145,13 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
 
 
 def _triple_residual(lam: FrameMap, mu, nu, gamma, w):
-    """B^mu B^nu B^ga + B^ga B^nu B^mu + w^{mu nu} B^ga + w^{ga nu} B^mu."""
+    """B^mu B^nu B^ga + B^ga B^nu B^mu + w^{mu nu} B^ga + w^{ga nu} B^mu,
+    for w given as an (int rows, den) pair."""
+    rows, den = w
     bs = {m: beta_mu(lam, m, "upper_neg") for m in {mu, nu, gamma}}
     lhs = bs[mu] * bs[nu] * bs[gamma] + bs[gamma] * bs[nu] * bs[mu]
-    return lhs + w[mu - 1][nu - 1] * bs[gamma] + w[gamma - 1][nu - 1] * bs[mu]
+    return (lhs + Fraction(rows[mu - 1][nu - 1], den) * bs[gamma]
+            + Fraction(rows[gamma - 1][nu - 1], den) * bs[mu])
 
 
 def ndkc_residual(lam: FrameMap, mu, nu, gamma):
@@ -157,7 +161,8 @@ def ndkc_residual(lam: FrameMap, mu, nu, gamma):
     is exactly zero for every (mu, nu, gamma) iff the frame map has
     orthonormal rows; see module docstring.
     """
-    return _triple_residual(lam, mu, nu, gamma, identity(lam.n))
+    eye = [[int(i == j) for j in range(lam.n)] for i in range(lam.n)]
+    return _triple_residual(lam, mu, nu, gamma, (eye, 1))
 
 
 def ndkc_induced_residual(lam: FrameMap, mu, nu, gamma):
@@ -168,6 +173,9 @@ def ndkc_induced_residual(lam: FrameMap, mu, nu, gamma):
         B^mu B^nu B^ga + B^ga B^nu B^mu
             = -(L L^T)^{mu nu} B^ga - (L L^T)^{ga nu} B^mu
 
-    holds exactly for every invertible frame map.
+    holds exactly for every invertible frame map.  With L = A / s, L L^T
+    is the int Gram matrix A A^T over s^2.
     """
-    return _triple_residual(lam, mu, nu, gamma, mat_mul(lam.lam, transpose(lam.lam)))
+    a, s = lam._rows
+    gram = [[sum(map(mul, r, q)) for q in a] for r in a]
+    return _triple_residual(lam, mu, nu, gamma, (gram, s * s))

@@ -6,9 +6,11 @@ Every group fills Check objects, each counting exact comparisons.
 
 Two routes run the same bodies:
 
-- `run_suites`, behind `dkpfields verify`, walks REGISTRY in order with one
-  random.Random, so a fixed seed reproduces the identical report byte for
-  byte;
+- `run_suites`, behind `dkpfields verify`, walks REGISTRY in order and
+  gives each group its own random.Random, seeded by the seed and the
+  group's first check name, so a fixed seed reproduces the identical
+  report byte for byte, a group draws the same values alone as inside
+  `--suite all`, and resizing one group moves no other group's draws;
 - tests/test_acceptance.py runs single groups through GROUPS[name].run at
   its own n range, seed and sweep size.
 """
@@ -148,10 +150,6 @@ def _basis_vectors(n):
 
 
 # -- the registry ------------------------------------------------------------
-
-# The frame groups (dkp frame relation, bracket) run at m = min(n, FRAME_MAX_N).
-FRAME_MAX_N = 3
-
 
 class Group(NamedTuple):
     """One registry entry: the Checks `names`, filled by one body.
@@ -295,14 +293,13 @@ def _adjunction(c, n, rng, size, metric=None, **_):
         x, y = rand_element(n, rng), rand_element(n, rng)
         c.ok(al.adjoint(al.adjoint(x, g), g) == x, "involution")
         c.ok(al.adjoint(x * y, g) == al.adjoint(y, g) * al.adjoint(x, g), "antihom")
-    if n <= 3:
-        delta = al.Metric.euclidean(n)
-        for _ in range(10):
-            x = rand_element(n, rng)
-            c.ok(
-                fock.represent(al.adjoint(x, delta)) == fock.represent(x).transpose(),
-                "transpose oracle",
-            )
+    delta = al.Metric.euclidean(n)
+    for _ in range(10):
+        x = rand_element(n, rng)
+        c.ok(
+            fock.represent(al.adjoint(x, delta)) == fock.represent(x).transpose(),
+            "transpose oracle",
+        )
 
 
 @_group("core/contraction")
@@ -377,22 +374,20 @@ def _sign_flip(c, n, rng, size, **_):
 
 @_group("dkp/frame relation, orthonormal frames", size=5)
 def _frame_orthonormal(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
-    frames = [dkp.FrameMap.identity(m)] + [rand_orthogonal_frame(m, rng) for _ in range(size)]
+    frames = [dkp.FrameMap.identity(n)] + [rand_orthogonal_frame(n, rng) for _ in range(size)]
     for lam in frames:
-        for mu, nu, ga in product(range(1, m + 1), repeat=3):
+        for mu, nu, ga in product(range(1, n + 1), repeat=3):
             c.ok(dkp.ndkc_residual(lam, mu, nu, ga).is_zero)
 
 
 @_group("dkp/frame relation, generic frames (induced metric)", size=5)
 def _frame_generic(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
     for _ in range(size):
-        lam = rand_frame(m, rng)
-        for mu, nu, ga in product(range(1, m + 1), repeat=3):
+        lam = rand_frame(n, rng)
+        for mu, nu, ga in product(range(1, n + 1), repeat=3):
             c.ok(dkp.ndkc_induced_residual(lam, mu, nu, ga).is_zero)
-    if m >= 2:
-        shear_rows = [[Fraction(int(i == j or (i == 0 and j == 1))) for j in range(m)] for i in range(m)]
+    if n >= 2:
+        shear_rows = [[Fraction(int(i == j or (i == 0 and j == 1))) for j in range(n)] for i in range(n)]
         shear = dkp.FrameMap(shear_rows)
         # the plain delta form is NOT frame-covariant: pin the counterexample
         c.ok(not dkp.ndkc_residual(shear, 1, 1, 1).is_zero, "delta form must fail for a shear")
@@ -442,53 +437,47 @@ def _subspace_unit(c, n, rng, size, **_):
 # -- bracket suite -------------------------------------------------------------
 
 
-def _ranks(m):
-    return range(0, min(m, 2) + 1)
-
-
-def _frames(m, rng, lam):
+def _frames(n, rng, lam):
     """Identity, the given frame if any, and one random frame."""
-    base = [dkp.FrameMap.identity(m)]
+    base = [dkp.FrameMap.identity(n)]
     if lam is not None:
         base.append(lam)
-    base.append(rand_frame(m, rng))
+    base.append(rand_frame(n, rng))
     return base
 
 
 @_group("bracket/word route equals closed form", size=25)
 def _closed_form(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
+    for p in range(n + 1):
         for _ in range(size):
-            fr = rand_frame(m, rng)
-            g1 = rand_field_poly(m, p, rng)
-            f1 = rand_field_poly(m, p, rng)
-            mu = rng.randint(1, m)
+            fr = rand_frame(n, rng)
+            g1 = rand_field_poly(n, p, rng)
+            f1 = rand_field_poly(n, p, rng)
+            mu = rng.randint(1, n)
             c.ok(
-                fl.bracket(g1, f1, mu, p, fr, m)
-                == fl.bracket_closed_form(g1, f1, mu, p, m)
+                fl.bracket(g1, f1, mu, p, fr, n)
+                == fl.bracket_closed_form(g1, f1, mu, p, n)
             )
 
 
 @_group("bracket/canonical pairs")
 def _canonical_pairs(c, n, rng, size, lam=None, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
-        for fr in _frames(m, rng, lam):
-            for I in combinations(range(1, m + 1), p):
-                for J in combinations(range(1, m + 1), p):
-                    for mu in range(1, m + 1):
+    for p in range(n + 1):
+        for fr in _frames(n, rng, lam):
+            for I in combinations(range(1, n + 1), p):
+                for J in combinations(range(1, n + 1), p):
+                    for mu in range(1, n + 1):
                         got = fl.bracket(
                             fl.FieldPoly.of(fl.y_sym(I)),
                             fl.FieldPoly.of(fl.p_sym(mu, J)),
-                            mu, p, fr, m,
+                            mu, p, fr, n,
                         )
                         c.ok(got == (1 if I == J else 0))
                         c.ok(
                             fl.bracket(
                                 fl.FieldPoly.of(fl.y_sym(I)),
                                 fl.FieldPoly.of(fl.y_sym(J)),
-                                mu, p, fr, m,
+                                mu, p, fr, n,
                             )
                             == 0
                         )
@@ -496,34 +485,31 @@ def _canonical_pairs(c, n, rng, size, lam=None, **_):
 
 @_group("bracket/antisymmetry", size=25)
 def _antisymmetry(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
+    for p in range(n + 1):
         for _ in range(size):
-            fr = rand_frame(m, rng)
-            g1, f1 = rand_field_poly(m, p, rng), rand_field_poly(m, p, rng)
-            mu = rng.randint(1, m)
-            c.ok(fl.bracket(g1, f1, mu, p, fr, m) + fl.bracket(f1, g1, mu, p, fr, m) == 0)
+            fr = rand_frame(n, rng)
+            g1, f1 = rand_field_poly(n, p, rng), rand_field_poly(n, p, rng)
+            mu = rng.randint(1, n)
+            c.ok(fl.bracket(g1, f1, mu, p, fr, n) + fl.bracket(f1, g1, mu, p, fr, n) == 0)
 
 
 @_group("bracket/leibniz rule", size=10)
 def _leibniz(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
+    for p in range(n + 1):
         for _ in range(size):
-            fr = rand_frame(m, rng)
-            g1, f1, k1 = (rand_field_poly(m, p, rng) for _ in range(3))
-            c.ok(fl.check_leibniz(g1, f1, k1, rng.randint(1, m), p, fr, m) == 0)
+            fr = rand_frame(n, rng)
+            g1, f1, k1 = (rand_field_poly(n, p, rng) for _ in range(3))
+            c.ok(fl.check_leibniz(g1, f1, k1, rng.randint(1, n), p, fr, n) == 0)
 
 
 @_group("bracket/symmetrized jacobi identity", size=5)
 def _jacobi(c, n, rng, size, lam=None, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
-        for fr in _frames(m, rng, lam):
+    for p in range(n + 1):
+        for fr in _frames(n, rng, lam):
             for _ in range(size):
-                g1, f1, k1 = (rand_field_poly(m, p, rng, deg=2) for _ in range(3))
-                mu, nu = rng.randint(1, m), rng.randint(1, m)
-                c.ok(fl.check_jacobi_sym(g1, f1, k1, mu, nu, p, fr, m) == 0)
+                g1, f1, k1 = (rand_field_poly(n, p, rng, deg=2) for _ in range(3))
+                mu, nu = rng.randint(1, n), rng.randint(1, n)
+                c.ok(fl.check_jacobi_sym(g1, f1, k1, mu, nu, p, fr, n) == 0)
 
 
 def check_field_equations(c, h, p, n, rng, frames):
@@ -539,9 +525,8 @@ def check_field_equations(c, h, p, n, rng, frames):
 
 @_group("bracket/field equations frame invariance", size=3)
 def _field_equations(c, n, rng, size, **_):
-    m = min(n, FRAME_MAX_N)
-    for p in _ranks(m):
-        check_field_equations(c, rand_field_poly(m, p, rng, nterms=4, deg=2), p, m, rng, size)
+    for p in range(n + 1):
+        check_field_equations(c, rand_field_poly(n, p, rng, nterms=4, deg=2), p, n, rng, size)
 
 
 GROUPS = {name: group for group in REGISTRY for name in group.names}
@@ -549,15 +534,16 @@ SUITE_NAMES = tuple(dict.fromkeys(group.suite for group in REGISTRY))
 
 
 def run_suites(names, n, seed, metric=None, lam=None):
-    """Run the given suites with one seeded generator; deterministic order."""
+    """Run the given suites in registry order, each group with its own
+    generator random.Random(f"{seed}/{first check name}")."""
     for name in names:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}")
-    rng = random.Random(seed)
     return [
         check
         for name in names
         for group in REGISTRY
         if group.suite == name and (group.max_n is None or n <= group.max_n)
-        for check in group.run(n, rng, metric=metric, lam=lam)
+        for check in group.run(n, random.Random(f"{seed}/{group.names[0]}"),
+                               metric=metric, lam=lam)
     ]

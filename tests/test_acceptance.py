@@ -13,15 +13,15 @@ bodies `dkpfields verify` runs, at their own n range, seed and sweep size:
 - 3: core/projector algebra and core/zero divisors of the idempotent,
   10 draws each, n <= 4;
 - 4: dkp/trilinear relations over the Euclidean and 20 random metrics, n <= 4;
-- 5: both dkp/frame relation groups, 20 frames each, n <= 3;
+- 5: both dkp/frame relation groups, 20 frames each, n <= 4;
 - 6: subspaces/dimension formula, n <= 6;
 - 7: subspaces/closure under the covector family, 100 draws per rank, with
   the action formula that shares its metric draw, n <= 4;
-- 8: bracket/field equations frame invariance, n = 2, 3;
+- 8: bracket/field equations frame invariance, n = 2..4;
 - 9: bracket/word route equals closed form, 200 pairs per rank, and
-  bracket/canonical pairs, n <= 3;
+  bracket/canonical pairs, n <= 4;
 - 10: bracket/antisymmetry, leibniz rule and symmetrized jacobi identity,
-  25, 13 and 7 draws per rank, n <= 3;
+  25, 13 and 7 draws per rank, n <= 4;
 - 11: core/contraction, n = 3.
 
 What stays here is independent of those bodies, so that a fault the group
@@ -127,13 +127,13 @@ def test_criterion_05_frame_relation():
     rng = random.Random(105)
     t0 = time.perf_counter()
     checked = sum(
-        run_group(rng, (1, 2, 3), name, 20)
+        run_group(rng, (1, 2, 3, 4), name, 20)
         for name in ("dkp/frame relation, orthonormal frames",
                      "dkp/frame relation, generic frames (induced metric)")
     )
     report(5, "k-symplectic frame relation",
            f"{checked} residuals: delta form on 21 orthonormal frames,"
-           " induced form on 20 generic frames, n<=3",
+           " induced form on 20 generic frames, n<=4",
            time.perf_counter() - t0, 10)
 
 
@@ -204,34 +204,34 @@ def _generic_quadratic(n, p, rng):
 def test_criterion_08_field_equation_derivation():
     rng = random.Random(108)
     t0 = time.perf_counter()
-    checked = run_group(rng, (2, 3), "bracket/field equations frame invariance")
-    for n in (2, 3):
-        for p in (0, 1, 2):
+    checked = run_group(rng, (2, 3, 4), "bracket/field equations frame invariance")
+    for n in (2, 3, 4):
+        for p in range(n + 1):
             check = Check("generic quadratic H")
             check_field_equations(check, _generic_quadratic(n, p, rng), p, n, rng, 3)
             assert check.passed, f"n={n} p={p}: {check.detail}"
             checked += check.run
     report(8, "field equation derivation",
-           f"{checked} equations/frames, p<=2, generic quadratic H",
+           f"{checked} equations/frames, n<=4, every p, generic quadratic H",
            time.perf_counter() - t0, 5)
 
 
 def test_criterion_09_bracket_closed_form():
     rng = random.Random(109)
     t0 = time.perf_counter()
-    checked = run_group(rng, (1, 2, 3), "bracket/word route equals closed form", 200)
-    checked += run_group(rng, (1, 2, 3), "bracket/canonical pairs")
+    checked = run_group(rng, (1, 2, 3, 4), "bracket/word route equals closed form", 200)
+    checked += run_group(rng, (1, 2, 3, 4), "bracket/canonical pairs")
     report(9, "bracket closed form",
-           f"{checked} brackets, 200 random pairs per (n<=3, p<=2) + canonical pairs",
+           f"{checked} brackets, 200 random pairs per (n<=4, p<=n) + canonical pairs",
            time.perf_counter() - t0, 30)
 
 
 def test_criterion_10_bracket_identities():
     rng = random.Random(110)
     t0 = time.perf_counter()
-    anti = run_group(rng, (1, 2, 3), "bracket/antisymmetry", 25)
-    leib = run_group(rng, (1, 2, 3), "bracket/leibniz rule", 13)
-    jac = run_group(rng, (1, 2, 3), "bracket/symmetrized jacobi identity", 7) // 2
+    anti = run_group(rng, (1, 2, 3, 4), "bracket/antisymmetry", 25)
+    leib = run_group(rng, (1, 2, 3, 4), "bracket/leibniz rule", 13)
+    jac = run_group(rng, (1, 2, 3, 4), "bracket/symmetrized jacobi identity", 7) // 2
     assert anti >= 200 and leib >= 100 and jac >= 50
     report(10, "bracket identities",
            f"antisymmetry {anti}, leibniz {leib}, jacobi {jac} x 2 frames",

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 import test_acceptance
@@ -330,21 +331,23 @@ def test_size_policy_exits_2_before_any_work(monkeypatch, capsys):
         ["derive-dwh", "--n", "30", "--p", "15", "--H", "1"],
         ["bracket", "--n", "30", "--p", "15", "--G", "y[]", "--F", "y[]"],
         ["dims", "--n", str(cli.MAX_TERMS)],
-        # the n^2 entries of a frame, identity included: 10 201 at n = 101
+        # n^2, the entries of a frame, identity included: 10 201 at n = 101
         ["derive-dwh", "--n", "101", "--p", "0", "--H", "y[]"],
         ["bracket", "--n", "101", "--G", "y[]", "--F", "y[]"],
+        ["dims", "--n", "101"],
     ]
     for argv in over:
         assert run_cli(argv) == (2, ""), argv
         assert f"above the cap {cli.MAX_TERMS}" in capsys.readouterr().err
-    for argv in (["dims", "--n", str(cli.MAX_TERMS - 1)],
+    for argv in (["dims", "--n", "100"],
                  ["derive-dwh", "--n", "100", "--p", "0", "--H", "y[]"]):
         with pytest.raises(_Reached):
             run_cli(argv)
 
 
 def test_size_policy_bound_is_exact(monkeypatch, capsys):
-    """(n+1) C(n,p) = 30 at n = 4, p = 2: a cap of 29 rejects, a cap of 30 runs."""
+    """(n+1) C(n,p) = 30 at n = 4, p = 2: a cap of 29 rejects, a cap of 30
+    runs.  dims at n = 4 is bounded by n^2 = 16, its larger count."""
     _stub_work(monkeypatch)
     argvs = [["derive-dwh", "--n", "4", "--p", "2", "--H", "1"],
              ["bracket", "--n", "4", "--p", "2", "--G", "1", "--F", "1"]]
@@ -356,23 +359,27 @@ def test_size_policy_bound_is_exact(monkeypatch, capsys):
     for argv in argvs:
         with pytest.raises(_Reached):
             run_cli(argv)
-    monkeypatch.setattr(cli, "MAX_TERMS", 4)
+    monkeypatch.setattr(cli, "MAX_TERMS", 15)
     assert run_cli(["dims", "--n", "4"]) == (2, "")
-    monkeypatch.setattr(cli, "MAX_TERMS", 5)
+    assert "n^2 = 16, above the cap 15" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_TERMS", 16)
     with pytest.raises(_Reached):
         run_cli(["dims", "--n", "4"])
 
 
 def test_huge_frame_exits_2_within_a_second():
-    """At n = 9999 the keys of Z_(0) fit the cap but the frame does not."""
+    """At n = 9999 the keys of Z_(0) and the n + 1 rows of dims fit the cap
+    but n^2 does not.  dims --n 9999 ran for 15 s and wrote 22 MB before
+    dims took the n of derive-dwh and bracket."""
     src = pathlib.Path(dkpfields.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-m", "dkpfields", "derive-dwh", "--n", "9999", "--p", "0", "--H", "y[]"],
-        capture_output=True, text=True, timeout=1,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "above the cap 10000" in done.stderr
+    for argv in (["derive-dwh", "--n", "9999", "--p", "0", "--H", "y[]"], ["dims", "--n", "9999"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "dkpfields", *argv],
+            capture_output=True, text=True, timeout=1,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert "above the cap 10000" in done.stderr, argv
 
 
 def test_hostile_powers_and_literals_exit_2_within_a_second():
@@ -421,19 +428,57 @@ def test_coefficient_too_long_to_print_exits_2(capsys):
     assert sys.get_int_max_str_digits() == limit  # the limit is not lifted
 
 
-def test_verify_lambda_above_frame_size_exits_2(monkeypatch, capsys):
-    """Above n = 3 the bracket groups would ignore --lambda, so verify refuses it."""
-    def no_suites(*args, **kwargs):
-        raise _Reached
+def _check_counts(out):
+    """{group name: check count} of a verify text report."""
+    return {line[5:line.rindex(" (")]: int(line[line.rindex("(") + 1:].split()[0])
+            for line in out.splitlines() if line[:5] in ("PASS ", "FAIL ")}
 
-    monkeypatch.setattr(suites, "run_suites", no_suites)
-    lam = "2,1,0,0;0,1,0,0;0,0,1,1;1,0,0,1"
-    assert run_cli(["verify", "--n", "4", "--suite", "bracket", "--lambda", lam]) == (2, "")
-    assert "--lambda for n <= 3" in capsys.readouterr().err
-    with pytest.raises(_Reached):
-        run_cli(["verify", "--n", "4", "--suite", "bracket", "--lambda", "identity"])
-    with pytest.raises(_Reached):
-        run_cli(["verify", "--n", "3", "--suite", "bracket", "--lambda", "2,1,0;0,1,0;0,0,1"])
+
+def test_verify_frame_reaches_the_bracket_groups_at_n4(capsys):
+    """A dense 4 x 4 --lambda runs in the two bracket groups that take a
+    frame, each over one frame more than with identity; a singular one
+    exits 2."""
+    argv = ["verify", "--n", "4", "--suite", "bracket", "--seed", "42"]
+    code, plain = run_cli(argv)
+    assert code == 0
+    code, framed = run_cli(argv + ["--lambda", "2,1,-1,3;1/2,3,1,-2;-1,1,5,1;1,-2/3,1,7"])
+    assert code == 0
+    plain, framed = _check_counts(plain), _check_counts(framed)
+    n = 4
+    per_frame = {
+        # two checks per (p, I, J, mu)
+        "bracket/canonical pairs": 2 * n * sum(comb(n, p) ** 2 for p in range(n + 1)),
+        # five draws per rank
+        "bracket/symmetrized jacobi identity": 5 * (n + 1),
+    }
+    assert {k: framed[k] - plain[k] for k in plain} == {
+        k: per_frame.get(k, 0) for k in plain}
+    singular = "1,2,3,4;2,4,6,8;1,0,0,1;0,1,1,0"
+    assert run_cli(argv + ["--lambda", singular]) == (2, "")
+    assert "invalid frame map: matrix is singular" in capsys.readouterr().err
+
+
+def test_each_group_draws_the_same_alone_as_inside_all(monkeypatch):
+    """Every group gets its own generator, so its first draw does not depend
+    on which other groups run before it."""
+    seen = {}
+
+    def recording(group):
+        def body(*args, **kwargs):
+            rng = args[len(group.names) + 1]
+            probe = random.Random()
+            probe.setstate(rng.getstate())
+            seen.setdefault(group.names[0], []).append(probe.random())
+            return group.body(*args, **kwargs)
+        return group._replace(body=body)
+
+    monkeypatch.setattr(suites, "REGISTRY", [recording(group) for group in suites.REGISTRY])
+    for suite in suites.SUITE_NAMES + ("all",):
+        assert run_cli(["verify", "--n", "2", "--suite", suite, "--seed", "7"])[0] == 0
+    assert len(seen) == len(suites.REGISTRY)
+    for name, (alone, inside_all) in seen.items():
+        assert alone == inside_all, name
+    assert len({draws[0] for draws in seen.values()}) == len(seen)
 
 
 def test_one_group_body_fails_verify_and_acceptance(monkeypatch):
