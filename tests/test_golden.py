@@ -16,7 +16,14 @@ pin a dense non-integer frame against polynomials of high degree: F has 5
 terms of degree up to 7, G has 2 terms of degree up to 8, and H = F + G.
 Two verify --suite dkp reports pin the generator layer: n = 5 with seed 42,
 and n = 3 over the metric 1/2,1,0;1,-2/3,1;0,1,3, whose entries are not
-all integers.
+all integers.  The last case runs the bracket suite at n = 4 over the
+dense frame 2,1,-1,3;1/2,3,1,-2;-1,1,5,1;1,-2/3,1,7, which adds one frame
+to bracket/canonical pairs and bracket/symmetrized jacobi identity.
+Cases 17, 18, 22 and 29 (verify at n = 3 and 4 with seed 42, all suites
+at n = 3 with seed 0 over a metric and a frame, and the dkp suite at
+n = 5) were regenerated when every check group began to run at the
+requested n, with ranks p = 0..n: their bracket and frame groups count
+more checks, and at n = 4 the transpose oracle of core/adjunction runs.
 Refactors must leave every report unchanged.
 After a deliberate change of report content, rewrite the fixture with
 
