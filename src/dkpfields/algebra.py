@@ -29,6 +29,7 @@ supports +, *, unary -, and truthiness testing for zero).
 
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 from typing import NamedTuple
 
 from ._linalg import SingularMatrixError, _apply_rows, _InvertibleMatrix, compound
@@ -121,11 +122,12 @@ class BasisElement(NamedTuple):
 
 def _check_multi_index(ix, n):
     ix = tuple(ix)
-    if any(not 1 <= x <= n for x in ix):
-        raise IndexRangeError(f"multi-index {ix} outside 1..{n}")
-    if any(a >= b for a, b in zip(ix, ix[1:])):
+    if all(map(lt, ix, ix[1:])):  # strictly increasing: the ends bound every entry
+        if not ix or 1 <= ix[0] and ix[-1] <= n:
+            return ix
+    elif all(1 <= x <= n for x in ix):  # a range error outranks an order error
         raise ValueError(f"multi-index {ix} must be strictly increasing")
-    return ix
+    raise IndexRangeError(f"multi-index {ix} outside 1..{n}")
 
 
 def basis_elements(n):

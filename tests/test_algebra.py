@@ -76,6 +76,54 @@ def test_gen_delta_anchors():
     assert al.gen_delta((), ()) == 1
 
 
+# -- term keys -----------------------------------------------------------------
+
+
+def _two_scan_check(ix, n):
+    """The key check as a range scan over every entry, then an order scan."""
+    ix = tuple(ix)
+    if any(not 1 <= x <= n for x in ix):
+        raise IndexRangeError(f"multi-index {ix} outside 1..{n}")
+    if any(a >= b for a, b in zip(ix, ix[1:])):
+        raise ValueError(f"multi-index {ix} must be strictly increasing")
+    return ix
+
+
+def _outcome(check, ix, n):
+    try:
+        return "ok", check(ix, n)
+    except ValueError as exc:  # IndexRangeError is a ValueError
+        return type(exc), str(exc)
+
+
+def _term_keys(seed):
+    """Keys for n = 1..5: empty, in range, 0, negative, above n at either
+    end, repeated and decreasing, each as a tuple or a list."""
+    rng = random.Random(seed)
+    keys = []
+    for n in range(1, 6):
+        keys += [((), n), ((0,), n), ((-1, n), n), ((1, n + 1), n), ((n + 1, n + 2), n),
+                 ((1, 1), n), ((n, 1), n), ((n + 1, 1), n), ([1, n + 1], n)]
+        for _ in range(80):
+            size = rng.randint(0, n + 1)
+            draw = rng.choices(range(-1, n + 3), k=size)  # may repeat or leave 1..n
+            ix = [sorted(rng.sample(range(1, n + 1), min(size, n))),  # in range
+                  sorted(set(draw)),  # strictly increasing, may cross either end
+                  draw,
+                  sorted(draw, reverse=True)][rng.randrange(4)]
+            keys.append((ix if rng.randrange(2) else tuple(ix), n))
+    return keys
+
+
+@pytest.mark.parametrize("seed", [0, 7, 7331])
+def test_key_check_matches_the_two_scan_check(seed):
+    """Same key or the same exception type and message, range before order."""
+    keys = _term_keys(seed)
+    got = [_outcome(al._check_multi_index, ix, n) for ix, n in keys]
+    assert got == [_outcome(_two_scan_check, ix, n) for ix, n in keys]
+    assert {kind for kind, _ in got} == {"ok", IndexRangeError, ValueError}
+
+
 # -- product -----------------------------------------------------------------
 
 
