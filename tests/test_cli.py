@@ -677,6 +677,7 @@ PINNED_ARGVS = [
     ["derive-dwh", "--n", "2", "--H", "y[] y[]"],
     ["derive-dwh", "--n", "4", "--p", "1", "--H", "y[5]"],
     ["derive-dwh", "--n", "4", "--H", "(y[]+p[1]+p[2]+p[3]+p[4])^16+(y[]+p[1]+p[2]+p[3]+p[4])^17"],
+    ["derive-dwh", "--n", "2"],
 ]
 ARGV_PINS = pathlib.Path(__file__).with_name("argv_pins.json")
 
