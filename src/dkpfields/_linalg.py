@@ -1,8 +1,11 @@
 """Exact rational matrix helpers (small n only).
 
-One elimination serves both the inverse and the minors: a matrix is scaled
-to integers once, and fraction-free Gauss-Jordan after Bareiss gives the
+A matrix m has one form here: the (int rows, den) pair of s * m and s,
+with den = s > 0.  _read_rows reads it from the entries once, and
+fraction-free Gauss-Jordan after Bareiss on the ints gives the
 determinant of a block and, over [s * m | I], the adjugate of s * m.
+Fractions appear only at the edges: the views g, g_inv, lam and lam_inv
+of _InvertibleMatrix, the result of invert and the minors of compound.
 """
 
 import re
@@ -64,26 +67,16 @@ def _read_entry(x):
 
 
 def _read_rows(rows):
-    """(int rows, den) of a square matrix of entries read by _read_entry, with
-    den the lcm of their denominators."""
+    """(int rows, den) of a matrix of entries read by _read_entry, of any
+    shape, with den the lcm of their denominators."""
     entries = [[_read_entry(x) for x in row] for row in rows]
-    if any(len(r) != len(entries) for r in entries):
-        raise ValueError("matrix must be square")
     scale = lcm(1, *(d for row in entries for _, d in row))
     return [[a * (scale // d) for a, d in row] for row in entries], scale
 
 
-def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _integer_rows(m):
-    """(s * m as integer row lists, s) with s the lcm of the denominators of m.
-
-    The entries are ints or Fractions, read through numerator and denominator.
-    """
-    scale = lcm(1, *(x.denominator for row in m for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+def _eye(n):
+    """The n x n identity as an (int rows, den) pair."""
+    return [[int(i == j) for j in range(n)] for i in range(n)], 1
 
 
 def _bareiss(a):
@@ -121,7 +114,7 @@ def _inverse_rows(m):
     pair, from one Bareiss pass over [s m | I]; raises if singular."""
     rows, scale = m
     n = len(rows)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    a = [row + e for row, e in zip(rows, _eye(n)[0])]
     if not _bareiss(a):
         raise SingularMatrixError("matrix is singular")
     # the left block ends as d * I, so (s m)^-1 = right block / d and m^-1 = s (s m)^-1
@@ -137,7 +130,7 @@ def _fractions(m):
 
 def invert(m):
     """Exact inverse as Fractions; raises SingularMatrixError if singular."""
-    return _fractions(_inverse_rows(_integer_rows(m)))
+    return _fractions(_inverse_rows(_read_rows(m)))
 
 
 class _InvertibleMatrix:
@@ -155,6 +148,8 @@ class _InvertibleMatrix:
     def __init__(self, rows):
         self._rows = _read_rows(rows)
         self.n = len(self._rows[0])
+        if any(len(r) != self.n for r in self._rows[0]):
+            raise ValueError("matrix must be square")
         self._check()
         self._inv_rows = _inverse_rows(self._rows)
         self._cache = {}
@@ -164,7 +159,7 @@ class _InvertibleMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(identity(n))
+        return cls(_eye(n)[0])
 
     def _cached(self, key, build):
         got = self._cache.get(key)
@@ -190,17 +185,18 @@ class _InvertibleMatrix:
 def _apply_rows(m, v):
     """(int numerators, den) of m v, m an (int rows, den) pair; v is scaled to ints."""
     rows, den = m
-    (w,), s = _integer_rows((v,))
+    s = lcm(1, *(x.denominator for x in v))
+    w = [x.numerator * (s // x.denominator) for x in v]
     return [sum(map(mul, row, w)) for row in rows], den * s
 
 
 def compound(m, p):
-    """Nonzero p x p minors of m, grouped by row set.
+    """Nonzero p x p minors of m, given as an (int rows, den) pair, grouped by row set.
 
     Returns {rows: ((cols, det m[rows, cols]), ...)} over all strictly
     increasing 1-based index tuples of length p, keeping only nonzero minors.
     """
-    a, scale = _integer_rows(m)  # minors of a are scale^p times m's
+    a, scale = m  # minors of a are scale^p times m's
     sets = list(combinations(range(1, len(a) + 1), p))
     out = {}
     for rows in sets:
@@ -208,11 +204,3 @@ def compound(m, p):
         dets = ((cols, _bareiss([[row[c - 1] for c in cols] for row in picked])) for cols in sets)
         out[rows] = tuple((cols, Fraction(d, scale ** p)) for cols, d in dets if d)
     return out
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )

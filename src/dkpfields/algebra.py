@@ -444,7 +444,7 @@ class Metric(_InvertibleMatrix):
         Built on the first request for grade p and kept with the metric, so a
         metric that never meets an adjoint never pays for them.
         """
-        return self._cached(p, lambda: (compound(self.g, p), compound(self.g_inv, p)))
+        return self._cached(p, lambda: (compound(self._rows, p), compound(self._inv_rows, p)))
 
 
 def adjoint(x, g):

@@ -36,7 +36,7 @@ every invertible L and reduces to the delta form when L L^T = 1.
 from fractions import Fraction
 from operator import mul
 
-from ._linalg import _InvertibleMatrix
+from ._linalg import _eye, _InvertibleMatrix
 from .algebra import AlgebraElement, BasisElement, IndexRangeError, Metric, _components
 from .algebra import projector_p, projector_pi
 
@@ -46,11 +46,11 @@ _COVECTOR_FAMILIES = ("b_upper", "b_upper_neg")
 
 
 class FrameMap(_InvertibleMatrix):
-    """Invertible square frame matrix L.
+    """Invertible square frame matrix L, kept as the (int rows, den) pairs
+    of L and L^-1.
 
-    dwh_derive, bracket and beta_mu('lower_neg') read the (int rows, den)
-    pairs of L and L^-1; the Fraction matrices lam and lam_inv are built
-    on first use.
+    dwh_derive, bracket, beta_mu('lower_neg') and the triple residuals read
+    the pairs; the Fraction views lam and lam_inv are built on first use.
     """
 
     __slots__ = ()
@@ -122,7 +122,7 @@ def check_trilinear(family, args, g: Metric):
     return lhs - rhs
 
 
-def beta_mu(lam: FrameMap, mu, variant, n=None):
+def beta_mu(lam: FrameMap, mu, variant):
     """Frame-mapped operator for spacetime index mu.
 
     'upper_neg' contracts b_^a with the frame matrix, 'lower_neg' contracts
@@ -130,10 +130,7 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
     E([],[a]) = -b__a, so both are sum_a w_a (E([a],[]) - E([],[a])) with
     w_a = L[mu][a] or w_a = -L^-1[a][mu].
     """
-    n = lam.n if n is None else n
-    if n != lam.n:
-        raise IndexRangeError("frame map dimension must match n")
-    mu = _index(mu, n)
+    mu = _index(mu, lam.n)
     if variant == "upper_neg":
         w = lam.lam[mu - 1]
     elif variant == "lower_neg":
@@ -141,7 +138,7 @@ def beta_mu(lam: FrameMap, mu, variant, n=None):
         w = [Fraction(-row[mu - 1], den) for row in rows]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _words(n, w, [-c for c in w])
+    return _words(lam.n, w, [-c for c in w])
 
 
 def _triple_residual(lam: FrameMap, mu, nu, gamma, w):
@@ -161,8 +158,7 @@ def ndkc_residual(lam: FrameMap, mu, nu, gamma):
     is exactly zero for every (mu, nu, gamma) iff the frame map has
     orthonormal rows; see module docstring.
     """
-    eye = [[int(i == j) for j in range(lam.n)] for i in range(lam.n)]
-    return _triple_residual(lam, mu, nu, gamma, (eye, 1))
+    return _triple_residual(lam, mu, nu, gamma, _eye(lam.n))
 
 
 def ndkc_induced_residual(lam: FrameMap, mu, nu, gamma):

@@ -67,7 +67,7 @@ from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from ._linalg import _integer_rows, identity
+from ._linalg import _eye
 from .algebra import AlgebraElement, BasisElement, _coerce
 from .dkp import FrameMap, beta_mu
 
@@ -475,7 +475,7 @@ def _multi_indices(n, p):
 def nabla(f: FieldPoly, p, n) -> AlgebraElement:
     """Z_(p)-valued derivative of a polynomial in y/pi symbols."""
     _validate(f, p, n, ("y", "pi"))
-    return _nabla(f, p, n, "pi", _integer_rows(identity(n)))
+    return _nabla(f, p, n, _eye(n))
 
 
 def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
@@ -483,12 +483,12 @@ def nabla_adjoint(g: FieldPoly, p, n) -> AlgebraElement:
     return _adjoint_placed(nabla(g, p, n))
 
 
-def _nabla(f: FieldPoly, p, n, kind, frame) -> AlgebraElement:
-    """E([],I) -> df/dy[I] and E([c],I) -> sum_a m[a][c] df/dkind[a][I],
-    for m given as an (int rows, den) pair.
+def _nabla(f: FieldPoly, p, n, frame) -> AlgebraElement:
+    """E([],I) -> df/dy[I] and E([c],I) -> sum_a m[a][c] df/dq[a][I],
+    for m given as an (int rows, den) pair and q the momentum kind of f.
 
-    With kind 'pi' and m = 1 this is nabla f; with kind 'p' and m = L it is
-    nabla of f(p = L pi) by the chain rule, left in y/p symbols.  The keys
+    With pi symbols and m = 1 this is nabla f; with p symbols and m = L it
+    is nabla of f(p = L pi) by the chain rule, left in y/p symbols.  The keys
     are read off one _gradient of f, so the cost follows the terms of f,
     not the (n+1) C(n,p) keys of Z_(p).
     """
@@ -659,10 +659,12 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     """
     _validate(g, p, n, ("y", "p"))
     _validate(f, p, n, ("y", "p"))
-    x = _nabla(g, p, n, "p", lam._rows)._terms
-    y = _nabla(f, p, n, "p", lam._rows)._terms
+    if lam.n != n:
+        raise RankError("frame map dimension must match n")
+    x = _nabla(g, p, n, lam._rows)._terms
+    y = _nabla(f, p, n, lam._rows)._terms
     links = {}
-    for (k, k2), b in beta_mu(lam, mu, "lower_neg", n)._terms.items():
+    for (k, k2), b in beta_mu(lam, mu, "lower_neg")._terms.items():
         links.setdefault(k, []).append((k2, b))
     rows = [(xc, b, yc) for (k, i), xc in x.items() for k2, b in links.get(k, ())
             if (yc := y.get((k2, i))) is not None]

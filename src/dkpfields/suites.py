@@ -24,8 +24,6 @@ from typing import Callable, NamedTuple
 from . import algebra as al
 from . import dkp, fock, subspaces
 from . import fields as fl
-from ._linalg import identity as ident_rows
-from ._linalg import invert, mat_mul
 
 
 class Check:
@@ -104,16 +102,16 @@ def rand_frame(n, rng):
 
 
 def rand_orthogonal_frame(n, rng):
-    """Random rational orthogonal matrix: Cayley transform of antisymmetric A."""
-    a = [[Fraction(0)] * n for _ in range(n)]
+    """Random rational orthogonal matrix: Cayley transform of antisymmetric A,
+    (1 - A)(1 + A)^-1 = 2 (1 + A)^-1 - 1."""
+    plus = [[0] * n for _ in range(n)]
     for i in range(n):
+        plus[i][i] = 1
         for j in range(i + 1, n):
-            a[i][j] = rand_fraction(rng, -2, 2, 3)
-            a[j][i] = -a[i][j]
-    eye = ident_rows(n)
-    plus = [[eye[i][j] + a[i][j] for j in range(n)] for i in range(n)]
-    minus = [[eye[i][j] - a[i][j] for j in range(n)] for i in range(n)]
-    return dkp.FrameMap(mat_mul(minus, invert(plus)))
+            plus[i][j] = rand_fraction(rng, -2, 2, 3)
+            plus[j][i] = -plus[i][j]
+    inv = dkp.FrameMap(plus).lam_inv
+    return dkp.FrameMap([[2 * x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(inv)])
 
 
 def rand_vector(n, rng):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkpfields import algebra as al
-from dkpfields._linalg import MAX_ENTRY_DIGITS, SingularMatrixError, _read_entry, compound
-from dkpfields._linalg import identity, invert, mat_mul
+from dkpfields._linalg import MAX_ENTRY_DIGITS, SingularMatrixError, _read_entry, _read_rows
+from dkpfields._linalg import compound, invert
 from dkpfields.algebra import (
     AlgebraElement,
     BasisElement,
@@ -28,6 +28,13 @@ def E(n, upper, lower, c=1):
 
 def basis_vec(i, n):
     return tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+
+
+def is_inverse(m, inv):
+    """m inv == 1, the product summed in Fractions."""
+    n = len(m)
+    return all(sum((m[i][k] * inv[k][j] for k in range(n)), Fraction(0)) == int(i == j)
+               for i in range(n) for j in range(n))
 
 
 # -- canonicalize / gen_delta ------------------------------------------------
@@ -147,6 +154,10 @@ def test_pairing_collapse():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         E(2, [], []) * E(3, [], [])
+    with pytest.raises(DimensionMismatchError, match="metric dimension must match element"):
+        al.adjoint(E(2, [], []), Metric.euclidean(3))
+    with pytest.raises(IndexRangeError, match="dimension n must be >= 1"):
+        AlgebraElement(0, {})
 
 
 def test_unit_is_identity():
@@ -362,6 +373,20 @@ def oracle_metrics(n, rng):
     return [rand_metric(n, rng), Metric(diag), Metric(exchange)]
 
 
+def test_adjoint_reads_minors_off_the_int_pairs():
+    """adjoint builds the minors from the (int rows, den) pairs the metric
+    keeps, never from its Fraction views g and g_inv, and they equal the
+    minors of the views."""
+    rng = random.Random(45)
+    for n in (1, 2, 3, 4):
+        for g in oracle_metrics(n, rng):
+            al.adjoint(rand_element(n, rng), g)
+            assert "m" not in g._cache and "m_inv" not in g._cache
+            for p in range(n + 1):
+                assert g._minors_of(p) == (compound(_read_rows(g.g), p),
+                                           compound(_read_rows(g.g_inv), p))
+
+
 def test_adjoint_matches_word_expansion():
     rng = random.Random(47)
     for n in (1, 2, 3, 4):
@@ -377,7 +402,7 @@ def test_sparse_oracle_metric_has_zero_minors():
     for n in (2, 3, 4):
         g = oracle_metrics(n, random.Random(0))[2]
         assert any(
-            len(rows) < comb(n, p) for p in range(1, n) for rows in compound(g.g, p).values()
+            len(rows) < comb(n, p) for p in range(1, n) for rows in compound(g._rows, p).values()
         )
 
 
@@ -398,7 +423,7 @@ def test_compound_minors_against_leibniz():
             # zeros on and off the diagonal force pivot swaps and zero minors
             m = [[rng.choice((0, 0, 1, -2, Fraction(3, 2))) for _ in range(n)] for _ in range(n)]
             for p in range(n + 1):
-                got = compound(m, p)
+                got = compound(_read_rows(m), p)
                 for rows in sets[p]:
                     nonzero = dict(got[rows])
                     assert all(type(d) is Fraction and d for d in nonzero.values())
@@ -415,7 +440,7 @@ def check_inverse(m):
     else:
         inv = invert(m)
         assert all(type(x) is Fraction for row in inv for x in row)
-        assert mat_mul(m, inv) == identity(len(m))
+        assert is_inverse(m, inv)
 
 
 def test_invert_int_rows_gives_exact_fractions():
@@ -540,6 +565,10 @@ def test_metric_validation():
         Metric([[1, 2], [3, 4]])  # not symmetric
     with pytest.raises(al.SingularMatrixError):
         Metric([[1, 1], [1, 1]])  # singular
+    with pytest.raises(ValueError, match="matrix must be square"):
+        Metric([[1, 2]])
+    with pytest.raises(ValueError, match="invalid matrix entry"):
+        Metric([[1, "x"]])  # an entry error comes before the shape check
     g = Metric([[2, 1], [1, 1]])
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     got = [
@@ -607,7 +636,7 @@ def test_metric_integer_path_matches_fraction_reference():
     for n in range(1, 6):
         for _ in range(4):
             g = rand_sparse_metric(n, rng)
-            assert mat_mul(g.g, g.g_inv) == identity(n)
+            assert is_inverse(g.g, g.g_inv)
             args = [tuple(rng.choice((0, 1, -3)) for _ in range(n)),
                     tuple(rng.choice((0, Fraction(2, 3), Fraction(-1, 4), 5)) for _ in range(n)),
                     (0,) * n]

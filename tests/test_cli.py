@@ -87,6 +87,26 @@ def test_verify_seed_recorded():
     assert doc["checks_run"] > 0 and doc["checks_failed"] == 0
 
 
+def test_verify_reports_a_failed_check(monkeypatch):
+    """A failing check makes verify exit 1 and names its first failure; an
+    unknown suite name raises in run_suites before any group runs."""
+    def one_failure(*args, **kwargs):
+        check = suites.Check("demo")
+        check.ok(True)
+        check.ok(False, "first note")
+        check.ok(False, "second note")
+        return [check]
+
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suites.run_suites(["nope"], 2, 0)
+    monkeypatch.setattr(suites, "run_suites", one_failure)
+    code, out = run_cli(["verify", "--n", "2", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 1 and (doc["checks_run"], doc["checks_failed"], doc["pass"]) == (3, 2, False)
+    assert doc["results"] == [
+        {"name": "demo", "status": "FAIL", "detail": "3 checks, 2 failed (first: first note)"}]
+
+
 def test_verify_with_metric_and_frame():
     code, out = run_cli(
         ["verify", "--n", "2", "--suite", "dkp", "--seed", "3",

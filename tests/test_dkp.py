@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
 from dkpfields import algebra as al
-from dkpfields._linalg import _bareiss, identity, invert, mat_mul
+from dkpfields._linalg import _bareiss, invert
 from dkpfields.algebra import Metric, SingularMatrixError
 from dkpfields.dkp import (
     FAMILIES,
@@ -19,7 +20,8 @@ from dkpfields.dkp import (
     ndkc_induced_residual,
     ndkc_residual,
 )
-from dkpfields.suites import rand_frame, rand_metric, rand_orthogonal_frame, rand_vector
+from dkpfields.suites import rand_fraction, rand_frame, rand_metric, rand_orthogonal_frame
+from dkpfields.suites import rand_vector
 
 
 def basis_vec(i, n):
@@ -169,6 +171,8 @@ def test_singular_metric_rejected():
 def test_frame_map_requires_invertible():
     with pytest.raises(SingularMatrixError):
         FrameMap([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        FrameMap([[1, 0], [0]])
 
 
 def test_frame_map_pairs_are_canonical_with_positive_den():
@@ -248,7 +252,10 @@ def test_beta_mu_matches_generator_contraction():
 
 
 def is_orthogonal(lam):
-    return mat_mul(lam.lam, tuple(zip(*lam.lam))) == identity(lam.n)
+    """L L^T == 1 in ints: A A^T == s^2 1 for L = A / s."""
+    a, s = lam._rows
+    return all(sum(map(mul, r, q)) == s * s * (i == j)
+               for i, r in enumerate(a) for j, q in enumerate(a))
 
 
 def test_ndkc_identity_frame():
@@ -256,6 +263,32 @@ def test_ndkc_identity_frame():
         lam = FrameMap.identity(n)
         for mu, nu, ga in product(range(1, n + 1), repeat=3):
             assert ndkc_residual(lam, mu, nu, ga).is_zero
+
+
+def cayley_by_product(n, rng):
+    """The Cayley transform (1 - A)(1 + A)^-1 as a Fraction product, with A
+    drawn as rand_orthogonal_frame draws it."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = rand_fraction(rng, -2, 2, 3)
+            a[j][i] = -a[i][j]
+    plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
+    minus = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
+    inv = invert(plus)
+    return FrameMap([[sum((minus[i][k] * inv[k][j] for k in range(n)), Fraction(0))
+                      for j in range(n)] for i in range(n)])
+
+
+def test_orthogonal_frame_matches_the_cayley_product():
+    """2 (1 + A)^-1 - 1 equals (1 - A)(1 + A)^-1 on the same draws, and the
+    two consume the same random numbers."""
+    for seed in range(4):
+        for n in range(1, 6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            lam = rand_orthogonal_frame(n, rng)
+            assert lam == cayley_by_product(n, ref) and is_orthogonal(lam)
+            assert rng.random() == ref.random()
 
 
 def test_ndkc_orthogonal_frames():

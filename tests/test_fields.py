@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dkpfields
-from dkpfields._linalg import SingularMatrixError, _integer_rows, identity, invert
+from dkpfields._linalg import SingularMatrixError, _read_rows, invert
 from dkpfields.algebra import BasisElement, contract
 from dkpfields.dkp import FrameMap, beta_mu
 from dkpfields.fields import (
@@ -265,6 +265,10 @@ def test_dwh_validation():
         dwh_derive(Y(1), 0, FrameMap.identity(2), 2)
     with pytest.raises(RankError):
         dwh_derive(Y() * FieldPoly.of(dy_sym(1, ())), 0, FrameMap.identity(2), 2)
+    wide = FrameMap.identity(3)
+    for call in (lambda: dwh_derive(Y(), 0, wide, 2), lambda: bracket(Y(), Y(), 1, 0, wide, 2)):
+        with pytest.raises(RankError, match="frame map dimension must match n"):
+            call()
 
 
 _CORRUPT_INVERSE = """
@@ -609,6 +613,8 @@ def test_power_matches_repeated_multiplication():
             got = a**e
             assert got.terms == _ref_pow(a.terms, e)
             _assert_canonical(got)
+    with pytest.raises(ValueError, match="negative power"):
+        Y() ** -1
 
 
 def test_substitute_matches_reference():
@@ -646,7 +652,7 @@ def _frame_with_uneven_inverse(rng, n):
         inv = [[Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6)) for _ in range(n)]
                for _ in range(n)]
         inv[rng.randrange(n)][rng.randrange(n)] = Fraction(0)
-        if len({_integer_rows([row])[1] for row in inv}) == 1:
+        if len({_read_rows([row])[1] for row in inv}) == 1:
             continue
         try:
             lam = FrameMap(invert(inv))
@@ -665,7 +671,7 @@ def _ref_frame_map(kind, new_kind, m, n, I):
 
 def test_frame_round_trip_through_integer_rows():
     """p -> pi by the chain rule and pi -> p by substitution, with L and
-    L^-1 each read once as the (int rows, den) pair of _integer_rows.
+    L^-1 read as the (int rows, den) pairs the frame map keeps.
 
     The frame-momentum derivatives of f' = f(p = L pi), which _nabla keeps
     in y/p symbols, are checked against the reference: _ref_partial of
@@ -683,8 +689,8 @@ def test_frame_round_trip_through_integer_rows():
             for I in combinations(range(1, n + 1), p):
                 to_pi.update(_ref_frame_map("p", "pi", lam.lam, n, I))
             f_pi = _ref_substitute(f.terms, to_pi)
-            got = dict(_nabla(f, p, n, "p", _integer_rows(lam.lam)).terms())
-            to_p = _integer_rows(lam.lam_inv)
+            got = dict(_nabla(f, p, n, lam._rows).terms())
+            to_p = lam._inv_rows
             for I in combinations(range(1, n + 1), p):
                 for be, sym in [(BasisElement((), I), y_sym(I))] + [
                         (BasisElement((c,), I), pi_sym(c, I)) for c in range(1, n + 1)]:
@@ -781,12 +787,12 @@ def test_nabla_gradient_walk_matches_key_enumeration():
             for _ in range(4):
                 lam = _dense_frame(rng, n)
                 f = rand_field_poly(n, p, rng, nterms=5, deg=3)
-                got = dict(_nabla(f, p, n, "p", lam._rows).terms())
+                got = dict(_nabla(f, p, n, lam._rows).terms())
                 assert got == _ref_nabla_by_keys(f, p, n, "p", lam.lam)
                 f_pi = FieldPoly({tuple((pi_sym(*s.idx, s.index) if s.kind == "p" else s, e)
                                         for s, e in mono): c for mono, c in f.terms.items()})
                 got_pi = dict(nabla(f_pi, p, n).terms())
-                assert got_pi == _ref_nabla_by_keys(f_pi, p, n, "pi", identity(n))
+                assert got_pi == _ref_nabla_by_keys(f_pi, p, n, "pi", FrameMap.identity(n).lam)
                 for d in (*got.values(), *got_pi.values()):
                     _assert_canonical(d)
 
@@ -805,8 +811,8 @@ def test_bracket_matches_the_contracted_product():
                 g = rand_field_poly(n, p, rng, nterms=4, deg=3)
                 f = rand_field_poly(n, p, rng, nterms=4, deg=3)
                 for mu in range(1, n + 1):
-                    left = _adjoint_placed(_nabla(g, p, n, "p", lam._rows))
-                    product = left * beta_mu(lam, mu, "lower_neg", n) * _nabla(f, p, n, "p", lam._rows)
+                    left = _adjoint_placed(_nabla(g, p, n, lam._rows))
+                    product = left * beta_mu(lam, mu, "lower_neg") * _nabla(f, p, n, lam._rows)
                     want = contract(product, p).coefficient(vacuum)
                     got = bracket(g, f, mu, p, lam, n)
                     assert got == want
@@ -826,7 +832,7 @@ def test_frame_momentum_rewrite_is_bounded_before_it_expands(monkeypatch):
         with pytest.raises(SizeError, match=f"up to {size} terms, above the cap {size - 1}"):
             dwh_derive(h, 0, lam, 4)
     monkeypatch.setattr(dkpfields.fields, "MAX_TERMS", size)
-    assert len(_frame_subst(PI(1) ** 10, _integer_rows(lam.lam_inv))) == 286
+    assert len(_frame_subst(PI(1) ** 10, lam._inv_rows)) == 286
     dwh_derive(h, 0, lam, 4)
     # under the identity each image has one term, so a power stays one term
     monkeypatch.setattr(dkpfields.fields, "MAX_TERMS", 1)

@@ -30,6 +30,8 @@ def test_generator_index_range():
         represent_generator("vector", 0, 2)
     with pytest.raises(IndexRangeError):
         represent_generator("covector", 3, 2)
+    with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+        represent_generator("bogus", 1, 2)
 
 
 def test_car_relations_matrices():

@@ -83,6 +83,8 @@ def test_in_zp():
 def test_membership_guard():
     with pytest.raises(MembershipError):
         act_dkp(al.unit(2), al.single(2, (1,), (1, 2)), 0)
+    with pytest.raises(MembershipError, match=r"action left Z_\(0\)"):
+        act_dkp(al.single(2, (1, 2), ()), al.single(2, (), ()), 0)  # the result has grade (2,0)
 
 
 def test_closure_random():
