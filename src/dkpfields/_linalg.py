@@ -5,7 +5,7 @@ with den = s > 0.  _read_rows reads it from the entries once, and
 fraction-free Gauss-Jordan after Bareiss on the ints gives the
 determinant of a block and, over [s * m | I], the adjugate of s * m.
 Fractions appear only at the edges: the views g, g_inv, lam and lam_inv
-of _InvertibleMatrix, the result of invert and the minors of compound.
+of _InvertibleMatrix and the minors of compound.
 """
 
 import re
@@ -129,8 +129,9 @@ def _fractions(m):
 
 
 def invert(m):
-    """Exact inverse as Fractions; raises SingularMatrixError if singular."""
-    return _fractions(_inverse_rows(_read_rows(m)))
+    """Exact inverse as Fractions; raises SingularMatrixError if singular and
+    ValueError unless m is square and nonempty."""
+    return _InvertibleMatrix(m)._inverse
 
 
 class _InvertibleMatrix:
@@ -148,8 +149,8 @@ class _InvertibleMatrix:
     def __init__(self, rows):
         self._rows = _read_rows(rows)
         self.n = len(self._rows[0])
-        if any(len(r) != self.n for r in self._rows[0]):
-            raise ValueError("matrix must be square")
+        if not self.n or any(len(r) != self.n for r in self._rows[0]):
+            raise ValueError("matrix must be square and nonempty")
         self._check()
         self._inv_rows = _inverse_rows(self._rows)
         self._cache = {}

@@ -70,6 +70,15 @@ class GradeError(ValueError):
     """Element has support outside the requested grade."""
 
 
+def _index(i, n):
+    """An index in 1..n; a non-int or an index outside raises, so none wraps."""
+    if not isinstance(i, int):
+        raise TypeError(f"index must be an int, not {type(i).__name__}")
+    if not 1 <= i <= n:
+        raise IndexRangeError(f"index {i} outside 1..{n}")
+    return i
+
+
 def canonicalize(seq, n):
     """Sort an index tuple, tracking the permutation parity.
 
@@ -77,10 +86,7 @@ def canonicalize(seq, n):
     sorting permutation and 0 (with index ()) when an entry repeats, since a
     repeated index annihilates any antisymmetric component.
     """
-    seq = tuple(seq)
-    for x in seq:
-        if not 1 <= x <= n:
-            raise IndexRangeError(f"index {x} outside 1..{n}")
+    seq = tuple(_index(x, n) for x in seq)
     if len(set(seq)) != len(seq):
         return 0, ()
     return _sort_parity(seq)

@@ -3,7 +3,8 @@
 A metric g on the vector side turns pairs of projected words into DKP
 generators.  (P) kills all but n terms of each embedding, so a generator is
 written term by term, its metric image read off g's integer rows.  Five
-constructions are supported, tagged by family name:
+constructions are supported, tagged by family name; FAMILIES maps each name
+to its sign s and its argument kind, which is all that tells them apart:
 
     b_upper        b^a   = (^a P) + (P_{sharp a})
     b_upper_neg    b_^a  = (^a P) - (P_{sharp a})
@@ -16,9 +17,9 @@ Each family satisfies a trilinear relation
     x1 x2 x3 + x3 x2 x1 = s * (w(1,2) x3 + w(3,2) x1)
 
 with s = +1 for the plain families and -1 for the underscored ones, and
-w the inverse metric for covector arguments or the metric for vector
-arguments.  check_trilinear returns the left-minus-right residual, which
-is exactly zero when the relation holds.
+w the inverse metric for covector arguments or the metric for vector and
+index arguments.  check_trilinear returns the left-minus-right residual,
+which is exactly zero when the relation holds.
 
 Frame-mapped operators contract the Euclidean-metric families with an
 invertible matrix L:  beta_mu('upper_neg') = L^mu_a b_^a and
@@ -37,12 +38,18 @@ from fractions import Fraction
 from operator import mul
 
 from ._linalg import _eye, _InvertibleMatrix
-from .algebra import AlgebraElement, BasisElement, IndexRangeError, Metric, _components
+from .algebra import AlgebraElement, BasisElement, Metric, _components, _index
 from .algebra import projector_p, projector_pi
 
-FAMILIES = ("b_upper", "b_upper_neg", "b_lower_neg", "beta_lower", "beta_lower_neg")
-
-_COVECTOR_FAMILIES = ("b_upper", "b_upper_neg")
+# family name -> (sign s, argument kind): a covector's components, a
+# vector's components, or a basis index 1..n standing for e_i
+FAMILIES = {
+    "b_upper": (1, "covector"),
+    "b_upper_neg": (-1, "covector"),
+    "b_lower_neg": (-1, "vector"),
+    "beta_lower": (1, "index"),
+    "beta_lower_neg": (-1, "index"),
+}
 
 
 class FrameMap(_InvertibleMatrix):
@@ -58,15 +65,6 @@ class FrameMap(_InvertibleMatrix):
     lam_inv = _InvertibleMatrix._inverse
 
 
-def _index(i, n):
-    """An index in 1..n; a non-int or an index outside raises, so none wraps."""
-    if not isinstance(i, int):
-        raise TypeError(f"index must be an int, not {type(i).__name__}")
-    if not 1 <= i <= n:
-        raise IndexRangeError(f"index {i} outside 1..{n}")
-    return i
-
-
 def _words(n, left, right):
     """(^left P) + (P_right) = sum_j left_j E([j], []) + sum_j right_j E([], [j]), zeros skipped."""
     terms = {BasisElement((j,), ()): c for j, c in enumerate(left, start=1) if c}
@@ -77,34 +75,21 @@ def _words(n, left, right):
 def make_generator(family, arg, g: Metric):
     """Build one DKP generator.
 
-    The b-families take component tuples (covector for the upper families,
-    vector for b_lower_neg); the beta families take a basis index 1..n.
+    The argument kind of the family (see FAMILIES) says what arg is: the
+    components of a covector or of a vector, or a basis index 1..n.
     """
-    n, s = g.n, _family_sign(family)
-    if family in _COVECTOR_FAMILIES:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    n, (s, kind) = g.n, FAMILIES[family]
+    if kind == "covector":
         a = _components(arg, n)
         return _words(n, a, g._image(g._inv_rows, a, s))
-    if family == "b_lower_neg":
+    if kind == "vector":
         v = _components(arg, n)
-    elif family in ("beta_lower", "beta_lower_neg"):
+    else:
         i = _index(arg, n)
         v = tuple(Fraction(int(k == i)) for k in range(1, n + 1))
-    else:
-        raise ValueError(f"unknown family {family!r}")
     return _words(n, g._image(g._rows, v, s), v)
-
-
-def _pairing(family, x, y, g: Metric):
-    if family in _COVECTOR_FAMILIES:
-        return g.pair_inv(x, y)
-    if family == "b_lower_neg":
-        return g.pair(x, y)
-    # beta families take indices
-    return g.g[x - 1][y - 1]
-
-
-def _family_sign(family):
-    return 1 if family in ("b_upper", "beta_lower") else -1
 
 
 def dkp_unit(n):
@@ -112,14 +97,23 @@ def dkp_unit(n):
     return projector_p(n) + projector_pi(1, n)
 
 
+def _residual(b1, b2, b3, c3, c1):
+    """b1 b2 b3 + b3 b2 b1 - (c3 b3 + c1 b1); zero iff the triple relation with
+    these right-hand coefficients holds."""
+    return b1 * b2 * b3 + b3 * b2 * b1 - (c3 * b3 + c1 * b1)
+
+
 def check_trilinear(family, args, g: Metric):
     """Residual L - R of the family's trilinear relation; zero iff it holds."""
     x1, x2, x3 = args
-    b1, b2, b3 = (make_generator(family, x, g) for x in args)
-    lhs = b1 * b2 * b3 + b3 * b2 * b1
-    s = _family_sign(family)
-    rhs = (s * _pairing(family, x1, x2, g)) * b3 + (s * _pairing(family, x3, x2, g)) * b1
-    return lhs - rhs
+    b1, b2, b3 = (make_generator(family, x, g) for x in args)  # raises for an unknown family
+    s, kind = FAMILIES[family]
+    if kind == "index":
+        w12, w32 = g.g[x1 - 1][x2 - 1], g.g[x3 - 1][x2 - 1]
+    else:
+        pair = g.pair_inv if kind == "covector" else g.pair
+        w12, w32 = pair(x1, x2), pair(x3, x2)
+    return _residual(b1, b2, b3, s * w12, s * w32)
 
 
 def beta_mu(lam: FrameMap, mu, variant):
@@ -146,9 +140,8 @@ def _triple_residual(lam: FrameMap, mu, nu, gamma, w):
     for w given as an (int rows, den) pair."""
     rows, den = w
     bs = {m: beta_mu(lam, m, "upper_neg") for m in {mu, nu, gamma}}
-    lhs = bs[mu] * bs[nu] * bs[gamma] + bs[gamma] * bs[nu] * bs[mu]
-    return (lhs + Fraction(rows[mu - 1][nu - 1], den) * bs[gamma]
-            + Fraction(rows[gamma - 1][nu - 1], den) * bs[mu])
+    return _residual(bs[mu], bs[nu], bs[gamma], Fraction(-rows[mu - 1][nu - 1], den),
+                     Fraction(-rows[gamma - 1][nu - 1], den))
 
 
 def ndkc_residual(lam: FrameMap, mu, nu, gamma):

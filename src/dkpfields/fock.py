@@ -21,7 +21,7 @@ product; every image is a single +-1 entry.
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, IndexRangeError
+from .algebra import AlgebraElement, _index
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,8 +112,7 @@ def _act(kind, i, state):
 
 def represent_generator(kind, index, n):
     """Matrix of one generator: 'vector' -> a_i, 'covector' -> a+_j."""
-    if not 1 <= index <= n:
-        raise IndexRangeError(f"index {index} outside 1..{n}")
+    _index(index, n)
     if kind not in ("vector", "covector"):
         raise ValueError(f"unknown generator kind {kind!r}")
     dim = 1 << n

@@ -334,8 +334,8 @@ def _trilinear(c, n, rng, size, metric=None, **_):
         metrics.append(metric)
     metrics += [rand_metric(n, rng) for _ in range(size)]
     for g in metrics:
-        for family in dkp.FAMILIES:
-            args = _basis_vectors(n) if family.startswith("b_") else range(1, n + 1)
+        for family, (_, kind) in dkp.FAMILIES.items():
+            args = range(1, n + 1) if kind == "index" else _basis_vectors(n)
             for trip in product(args, repeat=3):
                 r = dkp.check_trilinear(family, trip, g)
                 c.ok(r.is_zero, lambda: f"{family} residual {r}")
@@ -444,18 +444,19 @@ def _frames(n, rng, lam):
     return base
 
 
-@_group("bracket/word route equals closed form", size=25)
-def _closed_form(c, n, rng, size, **_):
+def _bracket_draws(n, rng, size, polys):
+    """size draws per rank p = 0..n of (p, a random frame, `polys` random
+    rank-p polynomials, a random mu), drawn in that order."""
     for p in range(n + 1):
         for _ in range(size):
             fr = rand_frame(n, rng)
-            g1 = rand_field_poly(n, p, rng)
-            f1 = rand_field_poly(n, p, rng)
-            mu = rng.randint(1, n)
-            c.ok(
-                fl.bracket(g1, f1, mu, p, fr, n)
-                == fl.bracket_closed_form(g1, f1, mu, p, n)
-            )
+            yield p, fr, [rand_field_poly(n, p, rng) for _ in range(polys)], rng.randint(1, n)
+
+
+@_group("bracket/word route equals closed form", size=25)
+def _closed_form(c, n, rng, size, **_):
+    for p, fr, (g1, f1), mu in _bracket_draws(n, rng, size, 2):
+        c.ok(fl.bracket(g1, f1, mu, p, fr, n) == fl.bracket_closed_form(g1, f1, mu, p, n))
 
 
 @_group("bracket/canonical pairs")
@@ -483,21 +484,14 @@ def _canonical_pairs(c, n, rng, size, lam=None, **_):
 
 @_group("bracket/antisymmetry", size=25)
 def _antisymmetry(c, n, rng, size, **_):
-    for p in range(n + 1):
-        for _ in range(size):
-            fr = rand_frame(n, rng)
-            g1, f1 = rand_field_poly(n, p, rng), rand_field_poly(n, p, rng)
-            mu = rng.randint(1, n)
-            c.ok(fl.bracket(g1, f1, mu, p, fr, n) + fl.bracket(f1, g1, mu, p, fr, n) == 0)
+    for p, fr, (g1, f1), mu in _bracket_draws(n, rng, size, 2):
+        c.ok(fl.bracket(g1, f1, mu, p, fr, n) + fl.bracket(f1, g1, mu, p, fr, n) == 0)
 
 
 @_group("bracket/leibniz rule", size=10)
 def _leibniz(c, n, rng, size, **_):
-    for p in range(n + 1):
-        for _ in range(size):
-            fr = rand_frame(n, rng)
-            g1, f1, k1 = (rand_field_poly(n, p, rng) for _ in range(3))
-            c.ok(fl.check_leibniz(g1, f1, k1, rng.randint(1, n), p, fr, n) == 0)
+    for p, fr, (g1, f1, k1), mu in _bracket_draws(n, rng, size, 3):
+        c.ok(fl.check_leibniz(g1, f1, k1, mu, p, fr, n) == 0)
 
 
 @_group("bracket/symmetrized jacobi identity", size=5)

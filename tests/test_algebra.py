@@ -19,6 +19,7 @@ from dkpfields.algebra import (
     IndexRangeError,
     Metric,
 )
+from dkpfields.dkp import FrameMap
 from dkpfields.suites import rand_element, rand_metric, rand_vector
 
 
@@ -54,10 +55,12 @@ def test_canonicalize_even_permutation():
 
 def test_canonicalize_empty_and_range():
     assert al.canonicalize((), 1) == (1, ())
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^index 0 outside 1\.\.3$"):
         al.canonicalize((0,), 3)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^index 4 outside 1\.\.3$"):
         al.canonicalize((4,), 3)
+    with pytest.raises(TypeError, match="^index must be an int, not Fraction$"):
+        al.canonicalize((2, Fraction(1)), 3)
 
 
 @given(st.lists(st.integers(1, 5), max_size=5))
@@ -463,6 +466,16 @@ def test_invert_sparse_rational():
                  for _ in range(n)]
             m[0][0] = 0
             check_inverse(m)
+
+
+@pytest.mark.parametrize("build, rows", [(invert, [[1, 2, 3], [0, 1, 0]]), (invert, []),
+                                         (FrameMap, []), (Metric, [])],
+                         ids=["invert-2x3", "invert-empty", "FrameMap-empty", "Metric-empty"])
+def test_matrix_must_be_square_and_nonempty(build, rows):
+    """invert, FrameMap and Metric share one shape check: a 2 x 3 matrix has
+    no inverse, and an empty one has no n."""
+    with pytest.raises(ValueError, match="^matrix must be square and nonempty$"):
+        build(rows)
 
 
 # -- contraction -----------------------------------------------------------------

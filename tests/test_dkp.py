@@ -8,7 +8,8 @@ from operator import mul
 import pytest
 
 from dkpfields import algebra as al
-from dkpfields._linalg import _bareiss, invert
+from dkpfields import dkp, suites
+from dkpfields._linalg import _bareiss
 from dkpfields.algebra import Metric, SingularMatrixError
 from dkpfields.dkp import (
     FAMILIES,
@@ -26,6 +27,22 @@ from dkpfields.suites import rand_vector
 
 def basis_vec(i, n):
     return tuple(Fraction(int(k == i)) for k in range(1, n + 1))
+
+
+def gauss_jordan_inverse(m):
+    """m^-1 by plain Fraction Gauss-Jordan on [m | I]: a reference that shares
+    nothing with the Bareiss pass of _linalg."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if a[r][k])
+        a[k], a[pivot] = a[pivot], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def args_for(family, n):
@@ -156,8 +173,20 @@ def test_dkp_unit():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        make_generator("b_sideways", 1, Metric.euclidean(2))
+    g = Metric.euclidean(2)
+    with pytest.raises(ValueError, match="unknown family 'b_sideways'"):
+        make_generator("b_sideways", 1, g)
+    with pytest.raises(ValueError, match="unknown family 'b_sideways'"):
+        check_trilinear("b_sideways", (1, 1, 1), g)
+
+
+def test_trilinear_group_takes_argument_kinds_from_the_family_table(monkeypatch):
+    """dkp/trilinear relations draws each family's arguments by the kind
+    FAMILIES gives it, whatever the family's name."""
+    renamed = {f"family_{i}": entry for i, entry in enumerate(FAMILIES.values())}
+    monkeypatch.setattr(dkp, "FAMILIES", renamed)
+    (check,) = suites.GROUPS["dkp/trilinear relations"].run(2, random.Random(0), size=1)
+    assert (check.run, check.failed) == (2 * 5 * 2 ** 3, 0)
 
 
 def test_singular_metric_rejected():
@@ -184,7 +213,7 @@ def test_frame_map_pairs_are_canonical_with_positive_den():
     for lam in (FrameMap([[-1, 0], [1, 1]]), FrameMap([["-1", "0"], ["1", "1"]])):
         assert lam._rows == ([[-1, 0], [1, 1]], 1)
         assert lam._inv_rows == ([[-1, 0], [1, 1]], 1)
-        assert lam.lam_inv == invert(lam.lam) == invert([[-1, 0], [1, 1]])
+        assert lam.lam_inv == gauss_jordan_inverse([[-1, 0], [1, 1]])
     rng = random.Random(89)
     for n in range(1, 5):
         for _ in range(5):
@@ -193,7 +222,7 @@ def test_frame_map_pairs_are_canonical_with_positive_den():
             assert s > 0 and t > 0
             assert lam.lam == tuple(tuple(Fraction(x, s) for x in row) for row in a)
             assert lam.lam_inv == tuple(tuple(Fraction(x, t) for x in row) for row in b)
-            assert lam.lam_inv == invert(lam.lam)
+            assert lam.lam_inv == gauss_jordan_inverse(lam.lam)
             text = FrameMap([[str(x) for x in row] for row in lam.lam])
             assert text == lam and text._inv_rows == lam._inv_rows
 
@@ -275,7 +304,7 @@ def cayley_by_product(n, rng):
             a[j][i] = -a[i][j]
     plus = [[int(i == j) + a[i][j] for j in range(n)] for i in range(n)]
     minus = [[int(i == j) - a[i][j] for j in range(n)] for i in range(n)]
-    inv = invert(plus)
+    inv = gauss_jordan_inverse(plus)
     return FrameMap([[sum((minus[i][k] * inv[k][j] for k in range(n)), Fraction(0))
                       for j in range(n)] for i in range(n)])
 

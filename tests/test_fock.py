@@ -9,7 +9,7 @@ from dkpfields import algebra as al
 from dkpfields import fock
 from dkpfields.algebra import IndexRangeError, Metric
 from dkpfields.fock import DenseOperator, represent, represent_generator
-from dkpfields.suites import rand_element
+from dkpfields.suites import rand_element, rand_fraction
 
 
 def test_single_mode_creation():
@@ -26,10 +26,12 @@ def test_single_mode_annihilation_is_transpose():
 
 
 def test_generator_index_range():
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^index 0 outside 1\.\.2$"):
         represent_generator("vector", 0, 2)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^index 3 outside 1\.\.2$"):
         represent_generator("covector", 3, 2)
+    with pytest.raises(TypeError, match="^index must be an int, not Fraction$"):
+        represent_generator("covector", Fraction(1), 2)
     with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
         represent_generator("bogus", 1, 2)
 
@@ -110,16 +112,26 @@ def test_embeddings_match_generator_matrices():
         assert all(_embeddings_match(n))
 
 
-@pytest.mark.parametrize("n, seed", [(5, 5), (6, 6)])
-def test_uncapped_homomorphism_and_transpose(n, seed):
+def dense_element(n, rng):
+    """An element with all 4^n basis terms, each with a nonzero coefficient."""
+    return al.AlgebraElement(n, {be: rng.choice((-1, 1)) * rand_fraction(rng, 1, 4)
+                                 for be in al.basis_elements(n)})
+
+
+@pytest.mark.parametrize("n, seed, dense", [(5, 5, 1), (6, 6, 0)], ids=["5-5", "6-6"])
+def test_uncapped_homomorphism_and_transpose(n, seed, dense):
+    """Four-term draws, plus `dense` pairs with every basis element present:
+    four-term draws seldom meet the high-grade products that a dense pair
+    holds all of."""
     rng = random.Random(seed)
-    for _ in range(20):
-        x, y = rand_element(n, rng), rand_element(n, rng)
-        assert represent(x * y) == represent(x) @ represent(y)
+    pairs = [(rand_element(n, rng), rand_element(n, rng)) for _ in range(20)]
     delta = Metric.euclidean(n)
     for _ in range(10):
         x = rand_element(n, rng)
         assert represent(al.adjoint(x, delta)) == represent(x).transpose()
+    pairs += [(dense_element(n, rng), dense_element(n, rng)) for _ in range(dense)]
+    for x, y in pairs:
+        assert represent(x * y) == represent(x) @ represent(y)
 
 
 @pytest.fixture

@@ -62,17 +62,23 @@ def test_report_is_byte_identical(case):
 
 
 def test_fresh_process_report_is_byte_identical():
-    """One golden through python -m dkpfields, the path a shell user takes."""
-    case = next(c for c in CASES if c["argv"][:3] == ["derive-dwh", "--n", "3"]
-                and "--lambda=1/2,1,2/3;1,-1/3,1;2,1,-3/2" in c["argv"])
+    """Goldens through python -m dkpfields, the path a shell user takes: one
+    derive-dwh golden as is, and it and one verify golden under python -O,
+    which strips assert statements, so no invariant of the report path may
+    live in one."""
+    derive = next(c for c in CASES if c["argv"][:3] == ["derive-dwh", "--n", "3"]
+                  and "--lambda=1/2,1,2/3;1,-1/3,1;2,1,-3/2" in c["argv"])
+    verify = next(c for c in CASES if c["argv"][:3] == ["verify", "--n", "3"]
+                  and "--lambda" in c["argv"])
     src = str(pathlib.Path(dkpfields.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "dkpfields", *case["argv"]],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert (done.returncode, done.stdout) == (case["exit"], case["stdout"]), done.stderr
+    for flags, case in (([], derive), (["-O"], derive), (["-O"], verify)):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "dkpfields", *case["argv"]],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (done.returncode, done.stdout) == (case["exit"], case["stdout"]), (flags, done.stderr)
 
 
 if __name__ == "__main__":
