@@ -152,12 +152,19 @@ def _coerce(c):
 
 _ZERO = Fraction(0)  # Fractions are immutable: one shared default for coefficient()
 
+# per n, each key the constructor has accepted, mapped to itself: one checked
+# BasisElement of tuples per basis element, so at most 4^n entries per n
+_KEYS = {}
+
 
 class AlgebraElement:
     """Sparse exact linear combination of basis elements of G_n.
 
     Immutable after construction: every operation returns a new element.
-    The term mapping never stores zero coefficients.
+    The term mapping never stores zero coefficients.  The constructor
+    checks each key once per n and keeps one BasisElement of tuples for
+    it, which every element built from an equal key then shares, so at
+    most 4^n keys are kept per n.
     """
 
     __slots__ = ("n", "_terms")
@@ -168,12 +175,18 @@ class AlgebraElement:
         self.n = n
         clean = {}
         if terms:
+            keys = _KEYS.setdefault(n, {})
             for be, c in terms.items():
                 c = _coerce(c)
                 if c:
-                    _check_multi_index(be.upper, n)
-                    _check_multi_index(be.lower, n)
-                    clean[be] = c
+                    # a plain tuple equals a BasisElement, so only a BasisElement is looked up
+                    key = keys.get(be) if type(be) is BasisElement else None
+                    if key is None:
+                        key = BasisElement(_check_multi_index(be.upper, n),
+                                           _check_multi_index(be.lower, n))
+                        # a key of other sequences, such as a range, is kept as given
+                        key = keys.setdefault(key, key) if key == be else be
+                    clean[key] = c
         self._terms = clean
 
     # -- inspection ------------------------------------------------------

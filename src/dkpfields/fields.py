@@ -653,7 +653,8 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     nabla g' placed at E(I,K) and y = nabla f', the matrix-unit rule
     E(I,K) E(K,K') E(K',I) = E(I,I) reads the value off the keys as
     sum x[K,I] beta[K,K'] y[K',I], added through _mul_into into one
-    numerator dict, so no element of G_n is multiplied.  No 1/p! weight
+    numerator dict per row denominator, and the few dicts are then brought
+    to their lcm once, so no element of G_n is multiplied.  No 1/p! weight
     appears: the canonical-multi-index sums in the derivative operators
     absorb it.
     """
@@ -666,13 +667,20 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     links = {}
     for (k, k2), b in beta_mu(lam, mu, "lower_neg")._terms.items():
         links.setdefault(k, []).append((k2, b))
-    rows = [(xc, b, yc) for (k, i), xc in x.items() for k2, b in links.get(k, ())
-            if (yc := y.get((k2, i))) is not None]
-    den = lcm(*(xc.den * b.denominator * yc.den for xc, b, yc in rows))
-    out = {}
-    for xc, b, yc in rows:
-        scale = b.numerator * (den // (xc.den * b.denominator * yc.den))
-        _mul_into(out, {m: scale * c for m, c in xc.num.items()}, yc.num)
+    groups = {}  # row denominator -> numerator dict of the rows over it
+    for (k, i), xc in x.items():
+        for k2, b in links.get(k, ()):
+            if (yc := y.get((k2, i))) is not None:
+                d = xc.den * b.denominator * yc.den
+                if (num := groups.get(d)) is None:
+                    num = groups[d] = {}
+                _mul_into(num, {m: b.numerator * c for m, c in xc.num.items()}, yc.num)
+    if len(groups) == 1:
+        ((den, out),) = groups.items()
+    else:
+        den, out = lcm(*groups), {}
+        for d, num in groups.items():
+            _mul_into(out, num, {(): den // d})
     return FieldPoly._make(out, den)
 
 

@@ -28,7 +28,9 @@ expression adds its terms into one numerator dict over one denominator.
 
 Expansion is bounded before it runs: an exponent above MAX_EXPONENT, or a
 product or power whose term count could exceed MAX_TERMS, is a ParseError,
-and so is a sum whose result has more than MAX_TERMS terms.
+and so is a sum whose result has more than MAX_TERMS terms.  Before any
+of that, a text longer than 64 characters per term of MAX_TERMS is refused
+unread.
 Each power and each nonzero product is bounded by what it produces, so
 chained and nested powers and repeated factors are bounded too: no symbol
 may reach an exponent above MAX_EXPONENT, and no coefficient more than
@@ -54,6 +56,9 @@ from .fields import MAX_TERMS, FieldPoly, FieldSymbol, RankError, _mul_into
 __all__ = ["MAX_COEFFICIENT_DIGITS", "MAX_EXPONENT", "MAX_TERMS", "ParseError", "parse_expr"]
 
 MAX_EXPONENT = 64
+# the text itself is bounded at this many characters per term of MAX_TERMS,
+# so that a sum is refused before it is read, not after its terms are added
+_CHARS_PER_TERM = 64
 # Python's default limit on converting an int to text, so that a coefficient
 # a power builds can still be printed
 MAX_COEFFICIENT_DIGITS = 4300
@@ -300,6 +305,9 @@ def _check_terms(bound, pos):
 
 def parse_expr(src, n, p) -> FieldPoly:
     """Parse a polynomial in y/pi/p symbols of rank p over dimension n."""
+    cap = _CHARS_PER_TERM * MAX_TERMS
+    if len(src) > cap:
+        raise ParseError(f"expression of {len(src)} characters is above the cap {cap}", cap)
     parser = _Parser(src, n, p)
     try:
         poly = parser.expr()

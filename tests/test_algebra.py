@@ -540,6 +540,75 @@ def test_invalid_multi_index_rejected():
         al.single(2, (3,), ())
 
 
+def _key(el):
+    (key,) = el._terms
+    return key
+
+
+def test_equal_keys_share_one_checked_key(monkeypatch):
+    """Elements built from equal but distinct BasisElements hold one key
+    object, a BasisElement of tuples, and each n keeps at most 4^n keys."""
+    monkeypatch.setattr(al, "_KEYS", {})
+    a, b = BasisElement(tuple([1, 2]), tuple([3])), BasisElement(tuple([1, 2]), tuple([3]))
+    assert a is not b and a.upper is not b.upper
+    x, y = AlgebraElement(5, {a: 1}), AlgebraElement(5, {b: 2})
+    assert _key(x) is _key(y) and _key(x) == a
+    from_range = BasisElement(range(1, 3), (3,))  # not equal to a, so kept as given
+    assert _key(AlgebraElement(5, {from_range: 1})) is from_range
+    assert AlgebraElement(5, {BasisElement((9,), (2, 1)): 0}).is_zero  # skipped, not kept
+    assert list(al._KEYS[5]) == [a]
+    for n in (1, 2, 3):
+        for _ in range(2):
+            AlgebraElement(n, {BasisElement(tuple(j), tuple(k)): 1 for j, k in al.basis_elements(n)})
+        assert len(al._KEYS[n]) == 4**n
+        assert all(type(key.upper) is tuple and type(key.lower) is tuple for key in al._KEYS[n])
+
+
+def test_a_key_is_checked_against_each_n():
+    """A key accepted at a larger n is still refused at a smaller one, with
+    the message of the key check."""
+    big = BasisElement((2, 5), (4,))
+    assert AlgebraElement(5, {big: 1}).coefficient(big) == 1
+    for upper, lower in ((2, 5), (4,)), ((1,), (4,)):
+        with pytest.raises(IndexRangeError, match=r"outside 1\.\.3"):
+            AlgebraElement(3, {BasisElement(upper, lower): 1})
+        with pytest.raises(IndexRangeError, match=r"outside 1\.\.3"):
+            al.single(3, upper, lower)
+    with pytest.raises(IndexRangeError, match=r"multi-index \(5, 2\) outside 1\.\.3"):
+        AlgebraElement(3, {BasisElement((5, 2), ()): 1})  # range before order
+
+
+def test_key_errors_are_unchanged_by_the_key_table():
+    """Order, type and shape errors are raised as before, also after an
+    equal key has been accepted; a zero term is skipped unchecked."""
+    AlgebraElement(3, {BasisElement((1, 2), (3,)): 1})
+    with pytest.raises(ValueError, match=r"multi-index \(2, 1\) must be strictly increasing"):
+        AlgebraElement(3, {BasisElement((2, 1), ()): 1})
+    with pytest.raises(AttributeError):
+        AlgebraElement(3, {((1, 2), (3,)): 1})
+    with pytest.raises(TypeError, match="float coefficients"):
+        AlgebraElement(3, {BasisElement((1, 2), (3,)): 0.5})
+    assert AlgebraElement(3, {BasisElement((9,), (2, 1)): 0}).is_zero
+
+    class Items:  # a mapping that is not a dict can give an unhashable key
+        def items(self):
+            return [(BasisElement([1], (2,)), 1)]
+
+    with pytest.raises(TypeError, match="unhashable"):
+        AlgebraElement(3, Items())
+    for call, exc, message in (
+        (lambda: al.single(3, (2, 1), ()), ValueError, r"\(2, 1\) must be strictly increasing"),
+        (lambda: al.single(3, (1, 2), (4,), 0), IndexRangeError, r"\(4,\) outside 1\.\.3"),
+        (lambda: al.single(3, (1, 2), (3,), 0.5), TypeError, "float coefficients"),
+        (lambda: al.basis_word(3, (1, 4), ()), IndexRangeError, r"index 4 outside 1\.\.3"),
+        (lambda: al.basis_word(3, (), (2.0,)), TypeError, "index must be an int"),
+    ):
+        with pytest.raises(exc, match=message):
+            call()
+    assert al.single(3, (1, 2), (3,), 0).is_zero and al.basis_word(3, (1, 1), (3,)).is_zero
+    assert al.basis_word(3, (2, 1), (3,)) == -1 * E(3, (1, 2), (3,))
+
+
 def test_text_form():
     x = al.single(3, (1, 3), (2,), Fraction(3, 2))
     assert str(x) == "3/2 * E[1,3|2]"
