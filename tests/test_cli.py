@@ -698,6 +698,7 @@ PINNED_ARGVS = [
     ["derive-dwh", "--n", "4", "--p", "1", "--H", "y[5]"],
     ["derive-dwh", "--n", "4", "--H", "(y[]+p[1]+p[2]+p[3]+p[4])^16+(y[]+p[1]+p[2]+p[3]+p[4])^17"],
     ["derive-dwh", "--n", "2"],
+    ["derive-dwh", "--n", "2", "--H", "+".join(["y[]"] * 160_001)],  # 640 003 characters
 ]
 ARGV_PINS = pathlib.Path(__file__).with_name("argv_pins.json")
 
