@@ -152,8 +152,8 @@ def _coerce(c):
 
 _ZERO = Fraction(0)  # Fractions are immutable: one shared default for coefficient()
 
-# per n, each key the constructor has accepted, mapped to itself: one checked
-# BasisElement of tuples per basis element, so at most 4^n entries per n
+# per n, one checked BasisElement of tuples for each basis element the
+# constructor has accepted, mapped to itself, so at most 4^n entries per n
 _KEYS = {}
 
 
@@ -184,7 +184,8 @@ class AlgebraElement:
                     if key is None:
                         key = BasisElement(_check_multi_index(be.upper, n),
                                            _check_multi_index(be.lower, n))
-                        # a key of other sequences, such as a range, is kept as given
+                        # a key of other sequences, such as a range, is not equal to its
+                        # tuples, so it is kept as given rather than merged with them
                         key = keys.setdefault(key, key) if key == be else be
                     clean[key] = c
         self._terms = clean

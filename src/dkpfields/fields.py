@@ -675,12 +675,9 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
                 if (num := groups.get(d)) is None:
                     num = groups[d] = {}
                 _mul_into(num, {m: b.numerator * c for m, c in xc.num.items()}, yc.num)
-    if len(groups) == 1:
-        ((den, out),) = groups.items()
-    else:
-        den, out = lcm(*groups), {}
-        for d, num in groups.items():
-            _mul_into(out, num, {(): den // d})
+    den, out = lcm(*groups), {}
+    for d, num in groups.items():
+        _mul_into(out, num, {(): den // d})
     return FieldPoly._make(out, den)
 
 
