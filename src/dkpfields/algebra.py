@@ -59,7 +59,7 @@ __all__ = [
 
 
 class IndexRangeError(ValueError):
-    """Index outside 1..n or grade outside 0..n."""
+    """Index outside 1..n or rank outside 0..n."""
 
 
 class DimensionMismatchError(ValueError):
@@ -77,6 +77,17 @@ def _index(i, n):
     if not 1 <= i <= n:
         raise IndexRangeError(f"index {i} outside 1..{n}")
     return i
+
+
+def _check_rank(n, p):
+    """The one rank check: p in 0..n, for projectors, subspaces and fields."""
+    if not 0 <= p <= n:
+        raise IndexRangeError(f"rank {p} outside 0..{n}")
+
+
+def _multi_indices(n, p):
+    """The strictly increasing multi-indices of length p over 1..n, in lexicographic order."""
+    return list(combinations(range(1, n + 1), p))
 
 
 def canonicalize(seq, n):
@@ -130,7 +141,7 @@ def _check_multi_index(ix, n):
     ix = tuple(ix)
     if all(map(lt, ix, ix[1:])):  # strictly increasing: the ends bound every entry
         if not ix or 1 <= ix[0] and ix[-1] <= n:
-            return ix
+            return tuple(_index(x, n) for x in ix)  # and _index refuses a non-int
     elif all(1 <= x <= n for x in ix):  # a range error outranks an order error
         raise ValueError(f"multi-index {ix} must be strictly increasing")
     raise IndexRangeError(f"multi-index {ix} outside 1..{n}")
@@ -138,7 +149,7 @@ def _check_multi_index(ix, n):
 
 def basis_elements(n):
     """All 2^(2n) basis elements, in canonical order."""
-    subsets = [c for p in range(n + 1) for c in combinations(range(1, n + 1), p)]
+    subsets = [c for p in range(n + 1) for c in _multi_indices(n, p)]
     return [BasisElement(j, k) for j in subsets for k in subsets]
 
 
@@ -345,19 +356,14 @@ def projector_p(n):
 
 def projector_pi(p, n):
     """Grade projector: sum of E(J, J) over all |J| = p."""
-    if not 0 <= p <= n:
-        raise IndexRangeError(f"grade {p} outside 0..{n}")
-    terms = {BasisElement(j, j): Fraction(1) for j in combinations(range(1, n + 1), p)}
-    return AlgebraElement._raw(n, terms)
+    _check_rank(n, p)
+    return AlgebraElement._raw(n, {BasisElement(j, j): Fraction(1) for j in _multi_indices(n, p)})
 
 
 def unit(n):
     """Two-sided identity: sum of all grade projectors."""
-    terms = {}
-    for p in range(n + 1):
-        for j in combinations(range(1, n + 1), p):
-            terms[BasisElement(j, j)] = Fraction(1)
-    return AlgebraElement._raw(n, terms)
+    return AlgebraElement._raw(n, {BasisElement(j, j): Fraction(1)
+                                   for p in range(n + 1) for j in _multi_indices(n, p)})
 
 
 def _embed_signs(j, n):

@@ -157,7 +157,7 @@ def _emit(report, fmt, out):
     out.write(f"RESULT: {'PASS' if report['pass'] else 'FAIL'}\n")
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     from .suites import SUITE_NAMES, run_suites  # only verify loads the suites
 
     if args.suite != "all" and args.suite not in SUITE_NAMES:
@@ -173,7 +173,7 @@ def _cmd_verify(args, out):
               if args.metric != "identity" else None)
     lam = _read_matrix(FrameMap, args.lam, args.n, "frame map") if args.lam != "identity" else None
     checks = run_suites(names, args.n, args.seed, metric=metric, lam=lam)
-    report = _report(
+    return _report(
         "verify",
         {"n": args.n, "seed": args.seed, "suite": args.suite,
          "metric": args.metric, "lambda": args.lam},
@@ -181,18 +181,14 @@ def _cmd_verify(args, out):
         sum(c.run for c in checks),
         sum(c.failed for c in checks),
     )
-    _emit(report, args.format, out)
-    return 0 if report["pass"] else 1
 
 
-def _cmd_dims(args, out):
+def _cmd_dims(args):
     results = _results((f"dim Z_({p})", True, dim_zp(args.n, p)) for p in range(args.n + 1))
-    report = _report("dims", {"n": args.n}, results, args.n + 1, 0)
-    _emit(report, args.format, out)
-    return 0
+    return _report("dims", {"n": args.n}, results, args.n + 1, 0)
 
 
-def _cmd_derive_dwh(args, out):
+def _cmd_derive_dwh(args):
     if args.H is None:
         raise UsageError("derive-dwh requires --H")
     lam = _read_matrix(FrameMap, args.lam, args.n, "frame map")
@@ -202,18 +198,16 @@ def _cmd_derive_dwh(args, out):
     except (ParseError, RankError, SizeError) as exc:
         raise UsageError(str(exc)) from exc
     results = _results((label, True, f"{lhs} = {rhs}") for label, lhs, rhs in eqs.equations())
-    report = _report(
+    return _report(
         "derive-dwh",
         {"n": args.n, "p": args.p, "H": args.H, "lambda": args.lam},
         results,
         len(results),
         0,
     )
-    _emit(report, args.format, out)
-    return 0
 
 
-def _cmd_bracket(args, out):
+def _cmd_bracket(args):
     if args.G is None or args.F is None:
         raise UsageError("bracket requires --G and --F")
     lam = _read_matrix(FrameMap, args.lam, args.n, "frame map")
@@ -225,7 +219,7 @@ def _cmd_bracket(args, out):
     except (ParseError, RankError) as exc:
         raise UsageError(str(exc)) from exc
     agree = value == closed
-    report = _report(
+    return _report(
         "bracket",
         {"n": args.n, "p": args.p, "mu": args.mu, "G": args.G, "F": args.F,
          "lambda": args.lam},
@@ -233,8 +227,6 @@ def _cmd_bracket(args, out):
         2,
         0 if agree else 1,
     )
-    _emit(report, args.format, out)
-    return 0 if agree else 1
 
 
 @functools.cache
@@ -330,10 +322,12 @@ def main(argv=None):
     try:
         if args.command != "verify":
             _check_size(args.n, p_rank)
-        return _HANDLERS[args.command](args, sys.stdout)
+        report = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(report, args.format, sys.stdout)
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -62,13 +62,12 @@ every derivation of that shape, so a call pays only for the gradient of H.
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from ._linalg import _eye
-from .algebra import AlgebraElement, BasisElement, _coerce
+from .algebra import AlgebraElement, BasisElement, _check_rank, _coerce, _index, _multi_indices
 from .dkp import FrameMap, beta_mu
 
 __all__ = [
@@ -282,9 +281,8 @@ class FieldPoly:
         return len(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FieldPoly.const(other)
-        if not isinstance(other, FieldPoly):
+        other = self._lift(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.den == other.den and self.num == other.num
 
@@ -458,23 +456,29 @@ def _gradient(f: FieldPoly):
     return grad
 
 
-def _validate(f: FieldPoly, p, n, kinds):
-    for s in f.symbols():
-        if s.kind not in kinds:
-            raise RankError(f"symbol {s} of kind {s.kind!r} not allowed here")
-        if len(s.index) != p:
-            raise RankError(f"symbol {s} has rank {len(s.index)}, expected {p}")
-        if not all(1 <= x <= n for x in s.idx + s.index):
-            raise RankError(f"symbol {s} has an index outside 1..{n}")
+def _validate(p, n, kinds, *polys, lam=None):
+    """The one input check of nabla, dwh_derive, bracket and bracket_closed_form.
 
-
-def _multi_indices(n, p):
-    return list(combinations(range(1, n + 1), p))
+    The rank p must lie in 0..n (IndexRangeError), and a frame map lam, when
+    given, must have dimension n.  Every symbol of every poly must be of one
+    of kinds, have rank p, and have int indices in 1..n; RankError otherwise.
+    """
+    _check_rank(n, p)
+    if lam is not None and lam.n != n:
+        raise RankError("frame map dimension must match n")
+    for f in polys:
+        for s in f.symbols():
+            if s.kind not in kinds:
+                raise RankError(f"symbol {s} of kind {s.kind!r} not allowed here")
+            if len(s.index) != p:
+                raise RankError(f"symbol {s} has rank {len(s.index)}, expected {p}")
+            if not all(isinstance(x, int) and 1 <= x <= n for x in s.idx + s.index):
+                raise RankError(f"symbol {s} has an index outside 1..{n}")
 
 
 def nabla(f: FieldPoly, p, n) -> AlgebraElement:
     """Z_(p)-valued derivative of a polynomial in y/pi symbols."""
-    _validate(f, p, n, ("y", "pi"))
+    _validate(p, n, ("y", "pi"), f)
     return _nabla(f, p, n, _eye(n))
 
 
@@ -532,40 +536,32 @@ def _frame_subst(f: FieldPoly, inverse) -> FieldPoly:
 # -- covariant Hamiltonian field equations --------------------------------
 
 
-class DwhEquations:
+class DwhEquations(NamedTuple):
     """Derived field equations for a rank-p Hamiltonian.
 
-    momentum: one equation per multi-index I,
+    momentum: one (I, lhs, rhs) row per multi-index I,
         sum_mu d[mu]p[mu][I]  =  - dH/dy[I];
-    field: one equation per (mu, I),
+    field: one ((mu, I), lhs, rhs) row per (mu, I),
         d[mu]y[I]  =  dH/dp[mu][I].
 
     Both sides are expressed in y/p symbols, so the set is identical for
-    every invertible frame map used in the derivation.
+    every invertible frame map used in the derivation.  Equality and
+    hashing are those of the tuple (n, p, momentum, field), so the
+    equations also compare equal to an equal plain tuple.
     """
 
-    __slots__ = ("n", "p", "momentum", "field")
-
-    def __init__(self, n, p, momentum, field):
-        self.n = n
-        self.p = p
-        self.momentum = tuple(momentum)
-        self.field = tuple(field)
+    n: int
+    p: int
+    momentum: tuple
+    field: tuple
 
     def equations(self):
         """(label, lhs, rhs) triples in deterministic order."""
-        _, momentum_labels, field_labels = _dwh_skeleton(self.n, self.p)
-        return ([(momentum_labels[I], lhs, rhs) for I, lhs, rhs in self.momentum]
-                + [(field_labels[key], lhs, rhs) for key, lhs, rhs in self.field])
+        labels = _dwh_skeleton(self.n, self.p)[1]
+        return [(labels[key], lhs, rhs) for key, lhs, rhs in self.momentum + self.field]
 
     def lines(self):
         return [f"{label}: {lhs} = {rhs}" for label, lhs, rhs in self.equations()]
-
-    def __eq__(self, other):
-        if not isinstance(other, DwhEquations):
-            return NotImplemented
-        return ((self.n, self.p, self.momentum, self.field)
-                == (other.n, other.p, other.momentum, other.field))
 
     def __repr__(self):
         return "\n".join(self.lines())
@@ -576,26 +572,26 @@ def _dwh_skeleton(n, p):
     """The part of the rank-p DWH equations over dimension n that H does not
     change, built once per (n, p) and shared by every derivation.
 
-    Returns (rows, momentum_labels, field_labels).  rows holds, for each
-    canonical I in output order, (I, y[I], sum_mu d[mu]p[mu][I], field_rows),
-    and field_rows holds ((nu, I), p[nu][I], d[nu]y[I]) for each nu.  The
-    labels map I and (nu, I) to the report names p-div[I] and
-    y-deriv[nu][I].  The polynomials are immutable, so sharing them is safe,
-    and each one prints once per process.
+    Returns (rows, labels).  rows holds, for each canonical I in output
+    order, (I, y[I], sum_mu d[mu]p[mu][I], field_rows), and field_rows holds
+    ((nu, I), p[nu][I], d[nu]y[I]) for each nu.  labels maps I to the report
+    name p-div[I] and (nu, I) to y-deriv[nu][I]; a key I holds ints and a
+    key (nu, I) holds a tuple, so the two never meet.  The polynomials are
+    immutable, so sharing them is safe, and each one prints once per process.
     """
-    rows, momentum_labels, field_labels = [], {}, {}
+    rows, labels = [], {}
     for I in _multi_indices(n, p):  # canonical, so the symbols need no check
         ilist = ",".join(map(str, I))
-        momentum_labels[I] = f"p-div[{ilist}]"
+        labels[I] = f"p-div[{ilist}]"
         field_rows = []
         for nu in range(1, n + 1):
-            field_labels[nu, I] = f"y-deriv[{nu}][{ilist}]"
+            labels[nu, I] = f"y-deriv[{nu}][{ilist}]"
             field_rows.append(((nu, I), FieldSymbol("p", (nu,), I),
                                FieldPoly.of(FieldSymbol("Dy", (nu,), I))))
         lhs = FieldPoly._raw({((FieldSymbol("Dp", (mu, mu), I), 1),): 1
                               for mu in range(1, n + 1)})
         rows.append((I, FieldSymbol("y", (), I), lhs, tuple(field_rows)))
-    return tuple(rows), momentum_labels, field_labels
+    return tuple(rows), labels
 
 
 def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
@@ -615,9 +611,7 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     L = A / s and L^-1 = B / t, for integer matrices A and B, are the pairs
     the frame map keeps.  Raises ArithmeticError unless A B = s t I.
     """
-    _validate(h, p, n, ("y", "p", "pi"))
-    if lam.n != n:
-        raise RankError("frame map dimension must match n")
+    _validate(p, n, ("y", "p", "pi"), h, lam=lam)
     (a, s), (b, t) = lam._rows, lam._inv_rows
     cols, st = list(zip(*b)), s * t
     if any(sum(map(mul, row, col)) != (st if i == j else 0)
@@ -627,17 +621,15 @@ def dwh_derive(h: FieldPoly, p, lam: FrameMap, n) -> DwhEquations:
     grad = _gradient(h)
     zero = FieldPoly.zero()
 
-    momentum = []
-    field = []
-    rows, _, _ = _dwh_skeleton(n, p)
-    for I, ys, lhs, field_rows in rows:
+    momentum, field = [], []
+    for I, ys, lhs, field_rows in _dwh_skeleton(n, p)[0]:
         d = grad.get(ys)
         momentum.append((I, lhs, FieldPoly._make({m: -c for m, c in d.items()}, h.den)
                          if d else zero))
         for key, ps, dy in field_rows:
             d = grad.get(ps)
             field.append((key, dy, FieldPoly._make(d, h.den) if d else zero))
-    return DwhEquations(n, p, momentum, field)
+    return DwhEquations(n, p, tuple(momentum), tuple(field))
 
 
 # -- bracket ---------------------------------------------------------------
@@ -658,10 +650,7 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
     appears: the canonical-multi-index sums in the derivative operators
     absorb it.
     """
-    _validate(g, p, n, ("y", "p"))
-    _validate(f, p, n, ("y", "p"))
-    if lam.n != n:
-        raise RankError("frame map dimension must match n")
+    _validate(p, n, ("y", "p"), g, f, lam=lam)
     x = _nabla(g, p, n, lam._rows)._terms
     y = _nabla(f, p, n, lam._rows)._terms
     links = {}
@@ -683,8 +672,8 @@ def bracket(g: FieldPoly, f: FieldPoly, mu, p, lam: FrameMap, n) -> FieldPoly:
 
 def bracket_closed_form(g: FieldPoly, f: FieldPoly, mu, p, n) -> FieldPoly:
     """sum_I ( dg/dy[I] df/dp[mu][I] - df/dy[I] dg/dp[mu][I] )."""
-    _validate(g, p, n, ("y", "p"))
-    _validate(f, p, n, ("y", "p"))
+    _validate(p, n, ("y", "p"), g, f)
+    mu = _index(mu, n)
     dg, df = _gradient(g), _gradient(f)
     out = {}
     for I in _multi_indices(n, p):

@@ -14,28 +14,19 @@ action is ordinary algebra multiplication.
 
 from math import comb
 
-from .algebra import AlgebraElement, BasisElement, IndexRangeError
-from itertools import combinations
+from .algebra import AlgebraElement, BasisElement, _check_rank, _multi_indices
 
 
 class MembershipError(ValueError):
     """Element is not supported on the requested Z_(p) basis."""
 
 
-def _check_rank(n, p):
-    if not 0 <= p <= n:
-        raise IndexRangeError(f"rank {p} outside 0..{n}")
-
-
 def zp_basis(n, p):
     """Basis of Z_(p) in deterministic order: E([], I) first, then E([a], I)."""
     _check_rank(n, p)
-    ranks = list(combinations(range(1, n + 1), p))
-    out = [BasisElement((), ix) for ix in ranks]
-    for a in range(1, n + 1):
-        for ix in ranks:
-            out.append(BasisElement((a,), ix))
-    return out
+    ranks = _multi_indices(n, p)
+    return [BasisElement(upper, ix) for upper in [()] + [(a,) for a in range(1, n + 1)]
+            for ix in ranks]
 
 
 def dim_zp(n, p):

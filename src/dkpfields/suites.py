@@ -18,7 +18,7 @@ Two routes run the same bodies:
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, NamedTuple
 
 from . import algebra as al
@@ -130,7 +130,7 @@ def rand_zp_element(n, p, rng):
 
 def rand_field_poly(n, p, rng, nterms=3, deg=2):
     syms = []
-    for I in combinations(range(1, n + 1), p):
+    for I in al._multi_indices(n, p):
         syms.append(fl.y_sym(I))
         for mu in range(1, n + 1):
             syms.append(fl.p_sym(mu, I))
@@ -463,8 +463,8 @@ def _closed_form(c, n, rng, size, **_):
 def _canonical_pairs(c, n, rng, size, lam=None, **_):
     for p in range(n + 1):
         for fr in _frames(n, rng, lam):
-            for I in combinations(range(1, n + 1), p):
-                for J in combinations(range(1, n + 1), p):
+            for I in al._multi_indices(n, p):
+                for J in al._multi_indices(n, p):
                     for mu in range(1, n + 1):
                         got = fl.bracket(
                             fl.FieldPoly.of(fl.y_sym(I)),

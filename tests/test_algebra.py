@@ -609,6 +609,18 @@ def test_key_errors_are_unchanged_by_the_key_table():
     assert al.basis_word(3, (2, 1), (3,)) == -1 * E(3, (1, 2), (3,))
 
 
+def test_a_key_index_must_be_an_int(monkeypatch):
+    """A non-int index inside 1..n is refused with the TypeError of _index,
+    as canonicalize refuses it, and no such key enters the key table."""
+    monkeypatch.setattr(al, "_KEYS", {})
+    for call in (lambda: AlgebraElement(3, {BasisElement((1.5,), ()): 1}),
+                 lambda: al.single(3, (2.5,), ()),
+                 lambda: al.single(3, (1,), (1, Fraction(2)))):
+        with pytest.raises(TypeError, match=r"^index must be an int, not (float|Fraction)$"):
+            call()
+    assert al._KEYS.get(3, {}) == {}
+
+
 def test_text_form():
     x = al.single(3, (1, 3), (2,), Fraction(3, 2))
     assert str(x) == "3/2 * E[1,3|2]"

@@ -512,7 +512,7 @@ def test_one_group_body_fails_verify_and_acceptance(monkeypatch):
 
 
 def _reports(monkeypatch, argvs):
-    """The report dict of each argv, as the handler passes it to _emit."""
+    """The report dict of each argv, as main passes it to _emit."""
     seen = []
     monkeypatch.setattr(cli, "_emit", lambda report, fmt, out: seen.append(report))
     for argv in argvs:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import dkpfields
 from dkpfields._linalg import SingularMatrixError, _read_rows, invert
-from dkpfields.algebra import BasisElement, contract
+from dkpfields.algebra import BasisElement, IndexRangeError, contract
 from dkpfields.dkp import FrameMap, beta_mu
 from dkpfields.fields import (
     DwhEquations,
@@ -470,6 +470,13 @@ def test_dwh_equations_type():
     assert eqs != dwh_derive(Y() ** 2 + Y(), 0, FrameMap.identity(2), 2)
 
 
+def test_dwh_equations_compare_and_hash_as_their_tuple():
+    eqs = dwh_derive(Y(1) * P(2, 1), 1, FrameMap([[2, 1], [1, 1]]), 2)
+    same = dwh_derive(Y(1) * P(2, 1), 1, FrameMap.identity(2), 2)
+    assert eqs == same == tuple(eqs) and hash(eqs) == hash(same) == hash(tuple(eqs))
+    assert tuple(eqs) == (2, 1, eqs.momentum, eqs.field)
+
+
 # -- kernel against the reference bodies ---------------------------------------
 #
 # The bodies below compute with Fraction coefficients on plain
@@ -847,6 +854,51 @@ def test_symbol_index_below_one_is_refused():
                        ("pi", lambda f: nabla(f, 0, 2))):
         with pytest.raises(RankError, match="outside 1..2"):
             call(FieldPoly.of(FieldSymbol(kind, (0,), ())) * Y())
+
+
+# each entry point as (f, mu, p, lam, n) -> its answer
+_ENTRY_POINTS = {
+    "nabla": lambda f, mu, p, lam, n: nabla(f, p, n),
+    "nabla_adjoint": lambda f, mu, p, lam, n: nabla_adjoint(f, p, n),
+    "dwh_derive": lambda f, mu, p, lam, n: dwh_derive(f, p, lam, n),
+    "bracket": lambda f, mu, p, lam, n: bracket(f, f, mu, p, lam, n),
+    "bracket_closed_form": lambda f, mu, p, lam, n: bracket_closed_form(f, f, mu, p, n),
+}
+
+
+@pytest.mark.parametrize("p", [-1, 3])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_rank_outside_0_to_n_is_refused_by_every_entry_point(name, p):
+    """A constant has no symbol to disagree with p, so only the rank check sees it."""
+    with pytest.raises(IndexRangeError, match=rf"^rank {p} outside 0\.\.2$"):
+        _ENTRY_POINTS[name](FieldPoly.const(3), 1, p, FrameMap.identity(2), 2)
+
+
+@pytest.mark.parametrize("name, sym, p", [
+    *((name, y_sym((1.5,)), 1) for name in sorted(_ENTRY_POINTS)),
+    *((name, pi_sym(1.5, ()), 0) for name in ("nabla", "nabla_adjoint", "dwh_derive")),
+    *((name, p_sym(Fraction(3, 2), ()), 0) for name in ("bracket", "bracket_closed_form", "dwh_derive")),
+], ids=str)
+def test_a_non_int_symbol_index_is_refused_by_every_entry_point(name, sym, p):
+    with pytest.raises(RankError, match=r"has an index outside 1\.\.2$"):
+        _ENTRY_POINTS[name](FieldPoly.of(sym), 1, p, FrameMap([[2, 1], [1, 1]]), 2)
+
+
+@pytest.mark.parametrize("mu", [0, 3, 1.5])
+def test_both_bracket_routes_check_mu_alike(mu):
+    g, f, lam = Y() ** 2, P(1), FrameMap([[2, 1], [1, 1]])
+    raised = []
+    for route in (lambda: bracket(g, f, mu, 0, lam, 2), lambda: bracket_closed_form(g, f, mu, 0, 2)):
+        with pytest.raises((IndexRangeError, TypeError)) as info:
+            route()
+        raised.append(info.type)
+    assert raised == [TypeError if mu == 1.5 else IndexRangeError] * 2
+
+
+def test_a_symbol_multi_index_must_be_increasing_and_positive():
+    for make in (lambda: y_sym((2, 1)), lambda: y_sym((0,)), lambda: p_sym(1, (3, 2))):
+        with pytest.raises(RankError, match="must be strictly increasing and positive"):
+            make()
 
 
 def test_bracket_closed_form_matches_reference_scan():

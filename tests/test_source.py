@@ -21,6 +21,15 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_rank_check_and_multi_indices_live_in_algebra_alone():
+    """The rank check and the enumeration of multi-indices are written once,
+    in algebra.py; every other module calls _check_rank and _multi_indices."""
+    src = pathlib.Path(dkpfields.__file__).parent
+    for text in ("combinations(range(1, n + 1)", "outside 0.."):
+        homes = [path.name for path in sorted(src.glob("*.py")) if text in path.read_text()]
+        assert homes == ["algebra.py"], text
+
+
 def test_benchmark_trace_targets_resolve():
     """Every layer the benchmark traces names a function dkpfields still has.
 

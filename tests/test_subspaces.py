@@ -65,6 +65,15 @@ def test_range_errors():
         dim_zp(2, -1)
 
 
+@pytest.mark.parametrize("p", [-1, 3])
+def test_one_rank_check_for_projectors_and_subspaces(p):
+    """projector_pi and every Z_(p) function raise the one rank message."""
+    for call in (lambda: al.projector_pi(p, 2), lambda: zp_basis(2, p),
+                 lambda: dim_zp(2, p), lambda: in_zp(al.zero(2), 2, p)):
+        with pytest.raises(IndexRangeError, match=rf"^rank {p} outside 0\.\.2$"):
+            call()
+
+
 def test_in_zp():
     assert in_zp(al.projector_p(2), 2, 0)
     assert not in_zp(al.single(2, (1,), (1,)), 2, 0)
