@@ -141,7 +141,9 @@ def _check_multi_index(ix, n):
     ix = tuple(ix)
     if all(map(lt, ix, ix[1:])):  # strictly increasing: the ends bound every entry
         if not ix or 1 <= ix[0] and ix[-1] <= n:
-            return tuple(_index(x, n) for x in ix)  # and _index refuses a non-int
+            for x in ix:
+                _index(x, n)  # refuses a non-int entry
+            return ix
     elif all(1 <= x <= n for x in ix):  # a range error outranks an order error
         raise ValueError(f"multi-index {ix} must be strictly increasing")
     raise IndexRangeError(f"multi-index {ix} outside 1..{n}")

@@ -457,12 +457,9 @@ def _gradient(f: FieldPoly):
 
 
 def _validate(p, n, kinds, *polys, lam=None):
-    """The one input check of nabla, dwh_derive, bracket and bracket_closed_form.
-
-    The rank p must lie in 0..n (IndexRangeError), and a frame map lam, when
-    given, must have dimension n.  Every symbol of every poly must be of one
-    of kinds, have rank p, and have int indices in 1..n; RankError otherwise.
-    """
+    """The one input check of nabla, dwh_derive, bracket and bracket_closed_form:
+    IndexRangeError unless p is in 0..n, RankError unless lam (when given) has
+    dimension n and each symbol of polys is of kinds, of rank p, with int indices in 1..n."""
     _check_rank(n, p)
     if lam is not None and lam.n != n:
         raise RankError("frame map dimension must match n")
