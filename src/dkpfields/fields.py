@@ -555,7 +555,8 @@ class DwhEquations(NamedTuple):
     def equations(self):
         """(label, lhs, rhs) triples in deterministic order."""
         labels = _dwh_skeleton(self.n, self.p)[1]
-        return [(labels[key], lhs, rhs) for key, lhs, rhs in self.momentum + self.field]
+        return [(labels[key], lhs, rhs) for rows in (self.momentum, self.field)
+                for key, lhs, rhs in rows]
 
     def lines(self):
         return [f"{label}: {lhs} = {rhs}" for label, lhs, rhs in self.equations()]

@@ -621,6 +621,15 @@ def test_a_key_index_must_be_an_int(monkeypatch):
     assert al._KEYS.get(3, {}) == {}
 
 
+def test_a_checked_key_keeps_the_callers_tuples(monkeypatch):
+    """The int check builds no new tuple: the kept key holds the caller's
+    tuple objects, as the key check always has."""
+    monkeypatch.setattr(al, "_KEYS", {})
+    upper, lower = tuple([1, 3]), tuple([2])
+    (key,) = AlgebraElement(3, {BasisElement(upper, lower): 1}).support()
+    assert key.upper is upper and key.lower is lower
+
+
 def test_text_form():
     x = al.single(3, (1, 3), (2,), Fraction(3, 2))
     assert str(x) == "3/2 * E[1,3|2]"
